@@ -7,8 +7,14 @@ irreducible polynomial of degree f over Z/pZ.  Encodings run over
 
 Construction is deterministic: the modulus is the lexicographically smallest
 monic irreducible (coefficients compared low degree first) and the generator
-gamma is the smallest encoding that is primitive.  After construction all
-arithmetic is table driven:
+gamma is the smallest encoding that is primitive.  Multiplication by a fixed
+c is F_p-linear in the digits, an f x f matrix whose rows c * x**i come from
+shift and reduce.  The antilog table is filled by doubling: the block
+[s, 2s) is gamma**s times the block [0, s).  Odd p applies that matrix to a
+(q-1, f) digit array with one product per block; p = 2 applies it to the
+encodings, which are bit vectors, through XOR tables of 256 entries per
+byte.  The trace is F_p-linear too, so its table is an outer sum over the
+digits.  After construction all arithmetic is table driven:
 
     antilog[i] = encoding of gamma**i          (length q-1)
     log[x]     = i with antilog[i] == x        (length q, log[0] == -1)
@@ -20,7 +26,6 @@ Tables are numpy int64 arrays marked read only.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -138,88 +143,61 @@ def _digits(x: int, p: int, f: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _pack(digits: tuple[int, ...], p: int) -> int:
-    x = 0
-    for d in reversed(digits):
-        x = x * p + d
-    return x
-
-
 # ---------------------------------------------------------------------------
 # vectorized table construction
 
 
+def _mul_rows(c: list[int], mod_low: tuple[int, ...], p: int) -> np.ndarray:
+    """Digit rows c * x**i (i < f): multiplication by c as an f x f matrix over F_p."""
+    rows = [c]
+    for _ in range(len(mod_low) - 1):
+        prev = rows[-1]
+        top = prev[-1]
+        # x * prev, with x**f replaced by -mod_low
+        rows.append([(lo - top * m) % p for lo, m in zip([0] + prev[:-1], mod_low)])
+    return np.array(rows, dtype=np.int64)
+
+
+def _xor_mul(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """out = encodings x under the F_2-linear map with digit rows ``rows``, one byte at a time."""
+    f = len(rows)
+    row_enc = rows @ (1 << np.arange(f, dtype=np.int64))
+    out[:] = 0
+    for j in range(0, f, 8):
+        byte_table = np.zeros(1, dtype=np.int64)
+        for r in row_enc[j : j + 8]:
+            byte_table = np.concatenate((byte_table, byte_table ^ r))
+        out ^= byte_table[(x >> j) & 255]
+
+
 def _antilog_table(p: int, f: int, q: int, mod_low: tuple[int, ...], gamma: int) -> np.ndarray:
-    if q == 2:
-        return np.array([1], dtype=np.int64)
-    if f == 1:
-        antilog = np.empty(q - 1, dtype=np.int64)
-        antilog[0] = 1
-        size = 1
-        while size < q - 1:
-            step = min(size, q - 1 - size)
-            const = int(antilog[size - 1]) * gamma % p
-            antilog[size : size + step] = antilog[:step] * const % p
-            size += step
-        return antilog
+    """gamma**i for i < q-1 by doubling: block [s, s+step) is gamma**s times block [0, step).
+
+    p = 2 works on the encodings, not on digits: a (q-1, f) digit array would
+    be f times larger (about 740 MB at 2^22).
+    """
+    n = q - 1
     if p == 2:
-        return _antilog_gf2(f, q, mod_low, gamma)
-    return _antilog_odd(p, f, q, mod_low, gamma)
-
-
-def _antilog_gf2(f: int, q: int, mod_low: tuple[int, ...], gamma: int) -> np.ndarray:
-    mod_int = _pack(mod_low, 2) | (1 << f)
-    antilog = np.zeros(q - 1, dtype=np.int64)
-    antilog[0] = 1
+        table = np.empty(n, dtype=np.int64)
+        table[0] = 1
+    else:
+        table = np.zeros((n, f), dtype=np.int64)
+        table[0, 0] = 1
+    c = list(_digits(gamma, p, f))
     size = 1
-    while size < q - 1:
-        step = min(size, q - 1 - size)
-        g_dig = _digits(gamma, 2, f)
-        const = _pack(_poly_mul_mod(_digits(int(antilog[size - 1]), 2, f), g_dig, mod_low, 2), 2)
-        chunk = antilog[:step]
-        acc = np.zeros(step, dtype=np.int64)
-        bit = 0
-        c = const
-        while c:
-            if c & 1:
-                acc ^= chunk << bit
-            c >>= 1
-            bit += 1
-        for deg in range(2 * f - 2, f - 1, -1):
-            mask = (acc >> deg) & 1
-            acc ^= mask * (mod_int << (deg - f))
-        antilog[size : size + step] = acc
+    while size < n:
+        step = min(size, n - size)
+        rows = _mul_rows(c, mod_low, p)
+        block = table[size : size + step]
+        if p == 2:
+            _xor_mul(table[:step], rows, block)
+        else:
+            np.matmul(table[:step], rows, out=block)
+            block %= p
+        # sizes double until the last step, so the next constant is c**2
+        c = (np.array(c, dtype=np.int64) @ rows % p).tolist()
         size += step
-    return antilog
-
-
-def _antilog_odd(p: int, f: int, q: int, mod_low: tuple[int, ...], gamma: int) -> np.ndarray:
-    mod_arr = np.array(mod_low, dtype=np.int64)
-    digits = np.zeros((q - 1, f), dtype=np.int64)
-    digits[0, 0] = 1
-    prev_enc = 1
-    size = 1
-    while size < q - 1:
-        step = min(size, q - 1 - size)
-        g_dig = _digits(gamma, p, f)
-        const = _poly_mul_mod(_digits(prev_enc, p, f), g_dig, mod_low, p)
-        block = digits[:step]
-        acc = np.zeros((step, 2 * f - 1), dtype=np.int64)
-        for j, cj in enumerate(const):
-            if cj:
-                acc[:, j : j + f] += cj * block
-        acc %= p
-        for deg in range(2 * f - 2, f - 1, -1):
-            coef = acc[:, deg]
-            acc[:, deg - f : deg] -= coef[:, None] * mod_arr[None, :]
-            acc[:, deg - f : deg] %= p
-            acc[:, deg] = 0
-        digits[size : size + step] = acc[:, :f]
-        size += step
-        # prev_enc must track gamma**size for the next round
-        prev_enc = _pack(tuple(int(v) for v in digits[size - 1]), p)
-    powers = p ** np.arange(f, dtype=np.int64)
-    return digits @ powers
+    return table if p == 2 else table @ p ** np.arange(f, dtype=np.int64)
 
 
 def _basis_traces(p: int, f: int, mod_low: tuple[int, ...]) -> list[int]:
@@ -233,14 +211,15 @@ def _basis_traces(p: int, f: int, mod_low: tuple[int, ...]) -> list[int]:
     return s
 
 
-def _trace_table(p: int, f: int, q: int, s: list[int]) -> np.ndarray:
-    x = np.arange(q, dtype=np.int64)
-    tr = np.zeros(q, dtype=np.int64)
-    for i in range(f):
-        if s[i]:
-            tr += (x % p) * s[i]
-        x //= p
-    return tr % p
+def _trace_table(p: int, s: list[int]) -> np.ndarray:
+    """Trace of every encoding: an outer sum over digits, the last digit most significant."""
+    digit = np.arange(p, dtype=np.int64)
+    tr = np.zeros(1, dtype=np.int64)
+    for si in s:
+        nxt = (digit * si % p)[:, None] + tr
+        nxt %= p
+        tr = nxt.ravel()
+    return tr
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +289,22 @@ class FieldTable:
     # vectorized arithmetic on encoded arrays (broadcasting allowed)
 
     def add_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            return a ^ b
-        if self.f == 1:
-            return (a + b) % self.p
-        res = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        pw = 1
-        for _ in range(self.f):
-            res += ((a // pw + b // pw) % self.p) * pw
-            pw *= self.p
-        return res
+        return self._digitwise(a, b, 1)
 
     def sub_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._digitwise(a, b, -1)
+
+    def _digitwise(self, a: np.ndarray, b: np.ndarray, sign: int) -> np.ndarray:
+        """a + sign * b, digit by digit mod p."""
         if self.p == 2:
             return a ^ b
+        op = np.add if sign > 0 else np.subtract
         if self.f == 1:
-            return (a - b) % self.p
+            return op(a, b) % self.p
         res = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         pw = 1
         for _ in range(self.f):
-            res += ((a // pw - b // pw) % self.p) * pw
+            res += (op(a // pw, b // pw) % self.p) * pw
             pw *= self.p
         return res
 
@@ -392,7 +367,7 @@ def build_field(p: int, f: int, modulus: tuple[int, ...] | None = None) -> Field
     antilog = _antilog_table(p, f, q, mod_low, gamma)
     log = np.full(q, -1, dtype=np.int64)
     log[antilog] = np.arange(q - 1, dtype=np.int64)
-    trace = _trace_table(p, f, q, _basis_traces(p, f, mod_low))
+    trace = _trace_table(p, _basis_traces(p, f, mod_low))
     # construction sanity: powers of gamma enumerate the q-1 nonzero elements
     counts = np.bincount(antilog, minlength=q)
     if counts[0] != 0 or counts.max() != 1:

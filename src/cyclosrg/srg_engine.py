@@ -214,7 +214,8 @@ def difference_count_oracle(cm: ClassMap, D) -> SrgCertificate | None:
     for i in range(0, k, chunk):
         block = field.sub_vec(elems[None, :], elems[i : i + chunk, None])
         counts += np.bincount(block.ravel(), minlength=q)
-    assert counts[0] == k and int(counts.sum()) == k * k
+    if counts[0] != k or int(counts.sum()) != k * k:
+        raise AssertionError("difference counts do not total k at 0 and k^2 in all")
     lam_vals = counts[elems]
     off_mask = np.ones(q, dtype=bool)
     off_mask[elems] = False
@@ -229,11 +230,13 @@ def difference_count_oracle(cm: ClassMap, D) -> SrgCertificate | None:
         r = (lam - mu + sd) // 2
         s = (lam - mu - sd) // 2
         num = -k - s * (q - 1)
-        assert num % (r - s) == 0, "trace identity failed on oracle output"
+        if num % (r - s):
+            raise AssertionError("trace identity failed on oracle output")
         mult_r = num // (r - s)
         return SrgCertificate(q, k, lam, mu, r, s, mult_r, q - 1 - mult_r, "ORACLE", mu == 0, False)
     # two irrational eigenvalues force the conference condition
-    assert 2 * k + (q - 1) * (lam - mu) == 0 and (q - 1) % 2 == 0, "spectral integrality violated"
+    if 2 * k + (q - 1) * (lam - mu) != 0 or (q - 1) % 2:
+        raise AssertionError("spectral integrality violated")
     half = (q - 1) // 2
     return SrgCertificate(q, k, lam, mu, None, None, half, half, "ORACLE", mu == 0, True)
 
@@ -436,7 +439,8 @@ def pair_family_check(p: int, p1: int) -> FamilyCheck:
     b = 1 if p1 % 8 == 3 else -1
     sp1 = predicted_spectrum_prime_power(p, p1, 1)
     sp2 = predicted_spectrum_prime_power(p, p1, 2)
-    assert sp1.gauss.b == b and sp2.gauss.b == b, "mod-8 rule disagrees with congruence resolution"
+    if sp1.gauss.b != b or sp2.gauss.b != b:
+        raise AssertionError("mod-8 rule disagrees with congruence resolution")
     r1, s1 = max(sp1.integer_values()), min(sp1.integer_values())
     r2, s2 = max(sp2.integer_values()), min(sp2.integer_values())
     a_r = (p1 - 1) // 2 if b == 1 else (p1 + 1) // 2
@@ -492,7 +496,8 @@ def triple_family_check(p: int, p1: int, p2: int) -> FamilyCheck:
         return FamilyCheck(p, p1, p2, False, tuple(reasons), h=h)
     sp1 = predicted_spectrum_two_primes(p, p1, p2, 1)
     sp2 = predicted_spectrum_two_primes(p, p1, p2, 2)
-    assert sp1.gauss.b == b and sp2.gauss.b == b, "prime equations disagree with congruence resolution"
+    if sp1.gauss.b != b or sp2.gauss.b != b:
+        raise AssertionError("prime equations disagree with congruence resolution")
     r1, s1 = max(sp1.integer_values()), min(sp1.integer_values())
     r2, s2 = max(sp2.integer_values()), min(sp2.integer_values())
     a_r = (b + p1 * p2) // 2

@@ -1,10 +1,12 @@
 """Field table construction, arithmetic, and determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from cyclosrg.finite_field import SIZE_CAP, FieldTable, build_field
-from cyclosrg.ntheory import prime_factors
+from cyclosrg.finite_field import SIZE_CAP, FieldTable, _basis_traces, _digits, _poly_mul_mod, build_field
+from cyclosrg.ntheory import is_prime, prime_factors
 
 from conftest import get_field
 
@@ -154,3 +156,58 @@ def test_tables_are_read_only():
     fld = get_field(2, 3)
     with pytest.raises(ValueError):
         fld.antilog[0] = 5
+
+
+def _small_fields():
+    for p in filter(is_prime, range(2, 1 << 12)):
+        f = 1
+        while p**f <= 1 << 12:
+            yield p, f
+            f += 1
+
+
+def test_tables_match_slow_reference():
+    # every field with q <= 2^12: powers of gamma one _poly_mul_mod at a time,
+    # and the trace of each encoding as a digit sum against the basis traces
+    for p, f in _small_fields():
+        fld = build_field(p, f)
+        mod_low = fld.modulus[:f]
+        gamma = _digits(fld.gamma, p, f)
+        powers = [_digits(1, p, f)]
+        for _ in range(fld.q - 2):
+            powers.append(_poly_mul_mod(powers[-1], gamma, mod_low, p))
+        place = p ** np.arange(f)
+        assert np.array_equal(fld.antilog, np.array(powers) @ place), (p, f)
+        digits = np.arange(fld.q)[:, None] // place % p
+        assert np.array_equal(fld.trace, digits @ _basis_traces(p, f, mod_low) % p), (p, f)
+
+
+# sha256 of the little-endian int64 tables, as built before the tables were
+# built by F_p-linear maps
+TABLE_DIGESTS = {
+    (3, 12): (
+        "91d1352aef801c292e6f7d9ff53a6a598b3836c286888e86ac6088cf64ea49e9",
+        "df037be173be4a702b8217fe629ab9ace091cf0b5af1e9698fc571eda308bbeb",
+        "7dd3a587b0cafea9b88430f663b7951de3ea8e58e653184f6d3a22d2f4575688",
+    ),
+    (2, 20): (
+        "4cb1763d286d33f42814e96b18116a3f53b823240feed3677dbcb0bcef577222",
+        "677292fafccb4e78245cbc196e3384b55cb2221c9f94abf35a59b02d2997fad5",
+        "508cba4e7249ae2f02e3dd1f428fc82c369df48a027e880d51d069113b8a024e",
+    ),
+    (2, 21): (
+        "7da0872700af13ee0d275e5f0b578bf67a7b0b2b359f3855ef4d89e728dde246",
+        "72b4831410d4964717297390dad359dd0102aa4c0a1513cd18aa204e86b63856",
+        "6a36c5a9aeade880b8756b4ef74bab830add3437bf6caa601d20d1ffb5570a83",
+    ),
+}
+
+
+@pytest.mark.parametrize("p, f", sorted(TABLE_DIGESTS))
+def test_named_example_tables_are_pinned(p, f):
+    fld = get_field(p, f)
+    digests = tuple(
+        hashlib.sha256(np.ascontiguousarray(table, dtype="<i8").tobytes()).hexdigest()
+        for table in (fld.antilog, fld.log, fld.trace)
+    )
+    assert digests == TABLE_DIGESTS[p, f]

@@ -1,5 +1,11 @@
 """Spectrum certification, the difference-count oracle, and predictions."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -132,6 +138,30 @@ def test_oracle_budget():
     cm = classify(get_field(2, 16), 3)
     with pytest.raises(ValueError, match="budget"):
         difference_count_oracle(cm, (0,))  # k = 21845, k^2 > 2^26
+
+
+def test_oracle_count_guard_survives_optimize():
+    # python -O strips asserts; the guard on the difference counts must still raise
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from cyclosrg.cyclotomy import classify
+        from cyclosrg.finite_field import FieldTable, build_field
+        from cyclosrg.srg_engine import difference_count_oracle
+
+        FieldTable.sub_vec = lambda self, a, b: np.ones(np.broadcast(a, b).shape, dtype=np.int64)
+        try:
+            difference_count_oracle(classify(build_field(13, 1), 2), (0,))
+        except AssertionError as exc:
+            print(f"optimize={sys.flags.optimize} raised: {exc}")
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("optimize=1 raised: difference counts"), proc.stdout
 
 
 def test_oracle_agrees_with_spectrum_on_small_grid():

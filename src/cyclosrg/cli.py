@@ -439,6 +439,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # witnesses such as r_m2 of scan-pairs reach tens of thousands of digits;
+    # lift Python's int -> str digit limit (3.11+) so that they print in full
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

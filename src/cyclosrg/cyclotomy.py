@@ -9,6 +9,17 @@ xi_p = exp(2*pi*i/p), and the Gauss periods are
 exact elements of Z[xi_p].  A period is represented by the tally of traces
 over a class, folded into the power basis {1, xi, ..., xi^{p-2}} using
 1 + xi + ... + xi^{p-1} = 0.
+
+gamma^i lies in C_{i mod N}, so the classes are the columns of the antilog
+table viewed as a (q-1)/N x N array: column a lists C_a in log order.  Both
+the trace tally and the elements of a union of classes are read off that
+view.
+
+Products in Z[xi_p] are computed by Kronecker substitution on Python ints:
+each factor's p exponent counts are shifted to be nonnegative (adding a
+constant to all of them leaves the value unchanged), packed nb bytes apart
+into one integer with 256^nb above every product coefficient, multiplied
+once, unpacked and folded mod p.  It is exact at any coefficient size.
 """
 
 from __future__ import annotations
@@ -82,22 +93,13 @@ class CyclotomicInteger:
         if other is NotImplemented:
             return NotImplemented
         p = self.p
-        if p == 2:
-            return CyclotomicInteger(2, (self.coeffs[0] * other.coeffs[0],))
-        a = self.coeffs
-        b = other.coeffs
-        bound = max(1, max(map(abs, a))) * max(1, max(map(abs, b))) * (p - 1)
-        if bound < 2**62:
-            conv = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-            counts = [0] * p
-            for m, v in enumerate(conv.tolist()):
-                counts[m % p] += v
-        else:  # exact fallback, only reachable with huge coefficients
-            counts = [0] * p
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        counts[(i + j) % p] += ai * bj
+        a = _shifted_counts(self.coeffs)
+        b = _shifted_counts(other.coeffs)
+        nb = ((max(1, max(a)) * max(1, max(b)) * p).bit_length() + 7) // 8
+        prod = _pack(a, nb) * _pack(b, nb)
+        raw = prod.to_bytes(nb * (2 * p - 1), "little")
+        conv = [int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb)]
+        counts = [conv[j] + conv[j + p] for j in range(p - 1)] + [conv[p - 1]]
         return CyclotomicInteger.from_exponent_counts(p, counts)
 
     __rmul__ = __mul__
@@ -151,10 +153,20 @@ class CyclotomicInteger:
         return complex(np.dot(np.array(self.coeffs, dtype=np.float64), xs))
 
 
+def _shifted_counts(coeffs: tuple[int, ...]) -> list[int]:
+    """The p exponent counts of a power-basis element, shifted to be nonnegative."""
+    low = min(0, min(coeffs))
+    return [c - low for c in coeffs] + [-low]
+
+
+def _pack(counts: list[int], nb: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in counts), "little")
+
+
 class ClassMap:
     """Cyclotomic classes of order N inside a built field; see classify()."""
 
-    __slots__ = ("field", "N", "class_size", "class_of", "_tally")
+    __slots__ = ("field", "N", "class_size", "_tally")
 
     def __init__(self, field: FieldTable, N: int):
         q = field.q
@@ -165,10 +177,6 @@ class ClassMap:
         self.field = field
         self.N = N
         self.class_size = (q - 1) // N
-        class_of = np.full(q, -1, dtype=np.int64)
-        class_of[field.antilog] = np.arange(q - 1, dtype=np.int64) % N
-        class_of.setflags(write=False)
-        self.class_of = class_of
         self._tally: np.ndarray | None = None
 
     def __repr__(self):
@@ -181,25 +189,12 @@ class ClassMap:
             p = self.field.p
             if self.N * p > _TALLY_CELL_CAP:
                 raise ValueError(f"period tally table would need {self.N * p} cells, cap is {_TALLY_CELL_CAP}")
-            q = self.field.q
-            cls = np.arange(q - 1, dtype=np.int64) % self.N
-            tr = self.field.trace[self.field.antilog]
-            flat = cls * p + tr
-            tally = np.bincount(flat, minlength=self.N * p).reshape(self.N, p)
+            tr = self.field.trace[self.field.antilog].reshape(-1, self.N)
+            flat = tr + p * np.arange(self.N, dtype=np.int64)
+            tally = np.bincount(flat.ravel(), minlength=self.N * p).reshape(self.N, p)
             tally.setflags(write=False)
             self._tally = tally
         return self._tally
-
-    def period_tally(self, a: int) -> np.ndarray:
-        """Trace tally over class a alone, length p, without the full table."""
-        if not 0 <= a < self.N:
-            raise ValueError(f"class index out of range: {a}")
-        elems = self.field.antilog[a :: self.N]
-        return np.bincount(self.field.trace[elems], minlength=self.field.p)
-
-    def period(self, a: int) -> CyclotomicInteger:
-        """Gauss period eta_a as an exact cyclotomic integer."""
-        return CyclotomicInteger.from_exponent_counts(self.field.p, self.period_tally(a))
 
     def periods(self) -> list[CyclotomicInteger]:
         return [CyclotomicInteger.from_exponent_counts(self.field.p, row) for row in self.tally]
@@ -226,12 +221,9 @@ class ClassMap:
         return [CyclotomicInteger.from_exponent_counts(self.field.p, row) for row in acc]
 
     def connection_set_elements(self, D) -> np.ndarray:
-        """Encodings of all field elements lying in the classes D."""
+        """Encodings of all field elements lying in the classes D, in log order."""
         d = sorted(self._check_classes(D))
-        q = self.field.q
-        cls = np.arange(q - 1, dtype=np.int64) % self.N
-        mask = np.isin(cls, np.array(d, dtype=np.int64))
-        return self.field.antilog[mask]
+        return self.field.antilog.reshape(-1, self.N)[:, d].ravel()
 
     def _check_classes(self, D) -> set[int]:
         d = set(int(i) for i in D)

@@ -368,8 +368,9 @@ def build_field(p: int, f: int, modulus: tuple[int, ...] | None = None) -> Field
     log = np.full(q, -1, dtype=np.int64)
     log[antilog] = np.arange(q - 1, dtype=np.int64)
     trace = _trace_table(p, _basis_traces(p, f, mod_low))
-    # construction sanity: powers of gamma enumerate the q-1 nonzero elements
-    counts = np.bincount(antilog, minlength=q)
-    if counts[0] != 0 or counts.max() != 1:
+    # construction sanity: powers of gamma enumerate the q-1 nonzero elements.
+    # No entry is zero or negative (a negative one wraps in the scatter), and
+    # every nonzero element has a log, so the q-1 entries hold no repeat.
+    if antilog.min() < 1 or log[1:].min() < 0:
         raise AssertionError("antilog table is not a bijection onto F_q*")
     return FieldTable(p, f, modulus, antilog, log, trace)

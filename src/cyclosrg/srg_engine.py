@@ -129,18 +129,13 @@ class SrgCertificate:
         return out
 
 
-def _as_exact_pair(values) -> tuple[object, object]:
-    seen = []
-    for v in values:
-        if isinstance(v, (int, np.integer)):
-            v = int(v)
-        elif not isinstance(v, CyclotomicInteger):
-            raise ValueError(f"eigenvalues must be integers or cyclotomic integers, got {type(v)!r}")
-        if isinstance(v, CyclotomicInteger) and v.is_rational_integer:
-            v = v.to_int()
-        if v not in seen:
-            seen.append(v)
-    return tuple(seen)
+def _exact(v) -> int | CyclotomicInteger:
+    """An eigenvalue as an int when it is a rational integer, else as itself."""
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if not isinstance(v, CyclotomicInteger):
+        raise ValueError(f"eigenvalues must be integers or cyclotomic integers, got {type(v)!r}")
+    return v.to_int() if v.is_rational_integer else v
 
 
 def srg_from_spectrum(v: int, k: int, values, source: str = "SPECTRUM") -> SrgCertificate | None:
@@ -153,7 +148,7 @@ def srg_from_spectrum(v: int, k: int, values, source: str = "SPECTRUM") -> SrgCe
     """
     if not 1 <= k <= v - 1:
         raise ValueError(f"valency k = {k} must lie in [1, v-1] for v = {v}")
-    distinct = _as_exact_pair(values)
+    distinct = tuple(dict.fromkeys(map(_exact, values)))
     if len(distinct) != 2:
         return None
     x, y = distinct
@@ -162,10 +157,7 @@ def srg_from_spectrum(v: int, k: int, values, source: str = "SPECTRUM") -> SrgCe
         e1, e2 = r + s, r * s
         irrational = False
     else:
-        p = x.p if isinstance(x, CyclotomicInteger) else y.p
-        cx = x if isinstance(x, CyclotomicInteger) else CyclotomicInteger.from_int(p, x)
-        cy = y if isinstance(y, CyclotomicInteger) else CyclotomicInteger.from_int(p, y)
-        e1z, e2z = cx + cy, cx * cy
+        e1z, e2z = x + y, x * y
         if not (e1z.is_rational_integer and e2z.is_rational_integer):
             return None
         e1, e2 = e1z.to_int(), e2z.to_int()

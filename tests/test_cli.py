@@ -183,3 +183,14 @@ def test_scan_triples_pretty(capsys):
     code, out, _ = run(capsys, "scan-triples", "--p-max", "3", "--n-max", "40")
     assert code == 0
     assert "hits" in out.split("\n")[0]
+
+
+def test_scan_pairs_json_prints_long_witnesses(capsys):
+    # the README bound reaches (5, 499), whose r_m2 has 43423 digits, beyond
+    # Python's default int -> str limit of 4300 digits
+    code, out, err = run(capsys, "scan-pairs", "--p-max", "50", "--p1-max", "500", "--format", "json")
+    assert code == 0 and err == ""
+    hits = json.loads(out)["hits"]
+    assert [(h["p"], h["p1"]) for h in hits] == [(2, 7), (3, 107), (5, 19), (5, 499), (17, 67), (41, 163)]
+    (big,) = [h for h in hits if (h["p"], h["p1"]) == (5, 499)]
+    assert len(str(big["r_m2"]).lstrip("-")) == 43423

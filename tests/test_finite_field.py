@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cyclosrg import finite_field
 from cyclosrg.finite_field import SIZE_CAP, FieldTable, _basis_traces, _digits, _poly_mul_mod, build_field
 from cyclosrg.ntheory import is_prime, prime_factors
 
@@ -156,6 +157,14 @@ def test_tables_are_read_only():
     fld = get_field(2, 3)
     with pytest.raises(ValueError):
         fld.antilog[0] = 5
+
+
+@pytest.mark.parametrize("bad", [[1, 2, 4, 2], [1, 2, 0, 3], [1, 2, -1, 3]], ids=["repeat", "zero", "negative"])
+def test_bijection_check_raises(monkeypatch, bad):
+    # F_5 has antilog [1, 2, 4, 3]; a table that misses an element must be refused
+    monkeypatch.setattr(finite_field, "_antilog_table", lambda *args: np.array(bad, dtype=np.int64))
+    with pytest.raises(AssertionError, match="bijection"):
+        build_field(5, 1)
 
 
 def _small_fields():

@@ -4,7 +4,9 @@ Every subcommand maps to one library operation and supports three output
 formats: json (stable key order, byte-identical for identical argv), tsv,
 and pretty.  Exit codes: 0 for success or a verified-true answer, 1 for a
 checked-false answer (for example a union that is not strongly regular),
-2 for usage or domain errors.
+2 for usage or domain errors, 3 for an internal error: a failed consistency
+check (AssertionError) or sign resolution (ArithmeticError), reported as one
+``internal error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -450,6 +452,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     if args.format == "json":
         print(json.dumps(out.data, sort_keys=True))
     elif args.format == "tsv":

@@ -20,9 +20,15 @@ each factor's p exponent counts are shifted to be nonnegative (adding a
 constant to all of them leaves the value unchanged), packed nb bytes apart
 into one integer with 256^nb above every product coefficient, multiplied
 once, unpacked and folded mod p.  It is exact at any coefficient size.
+
+Periods and connection sums are (n, p) exponent-count matrices; they are
+folded to the power basis in numpy, one subtraction for all rows, and each
+row becomes a CyclotomicInteger from a tuple of Python ints.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -35,7 +41,8 @@ class CyclotomicInteger:
     """Exact element of Z[xi_p] in the power basis {xi^0, ..., xi^{p-2}}.
 
     For p = 2 this degenerates to a plain integer (basis {1}).
-    Instances are immutable and hashable.
+    Instances are immutable and hashable.  Coefficients are stored as
+    Python ints; other integer types (numpy ints, bool) are converted.
     """
 
     __slots__ = ("p", "coeffs")
@@ -43,10 +50,13 @@ class CyclotomicInteger:
     def __init__(self, p: int, coeffs: tuple[int, ...]):
         if p < 2:
             raise ValueError("p must be a prime >= 2")
+        coeffs = tuple(coeffs)
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p = {p}")
+        if set(map(type, coeffs)) - {int}:
+            coeffs = tuple(map(int, coeffs))
         self.p = p
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = coeffs
 
     # construction helpers
 
@@ -69,12 +79,12 @@ class CyclotomicInteger:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicInteger(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CyclotomicInteger(self.p, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicInteger(self.p, tuple(-a for a in self.coeffs))
+        return CyclotomicInteger(self.p, tuple(map(operator.neg, self.coeffs)))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -132,7 +142,7 @@ class CyclotomicInteger:
 
     @property
     def is_rational_integer(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def to_int(self) -> int:
         if not self.is_rational_integer:
@@ -161,6 +171,11 @@ def _shifted_counts(coeffs: tuple[int, ...]) -> list[int]:
 
 def _pack(counts: list[int], nb: int) -> int:
     return int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in counts), "little")
+
+
+def _fold_rows(p: int, counts: np.ndarray) -> list[CyclotomicInteger]:
+    """One element per row of an (n, p) exponent-count matrix, folded in one pass."""
+    return [CyclotomicInteger(p, tuple(row)) for row in (counts[:, :-1] - counts[:, -1:]).tolist()]
 
 
 class ClassMap:
@@ -197,7 +212,7 @@ class ClassMap:
         return self._tally
 
     def periods(self) -> list[CyclotomicInteger]:
-        return [CyclotomicInteger.from_exponent_counts(self.field.p, row) for row in self.tally]
+        return _fold_rows(self.field.p, self.tally)
 
     @property
     def negation_shift(self) -> int:
@@ -215,10 +230,12 @@ class ClassMap:
     def connection_sums(self, D) -> list[CyclotomicInteger]:
         """psi(gamma^a D) = sum over i in D of eta_{(a+i) mod N}, for a = 0..N-1."""
         d = sorted(self._check_classes(D))
-        acc = np.zeros((self.N, self.field.p), dtype=np.int64)
+        # rows i .. i+N-1 of the doubled tally are the periods shifted by i
+        doubled = np.concatenate((self.tally, self.tally))
+        acc = np.zeros_like(self.tally)
         for i in d:
-            acc += np.roll(self.tally, -i, axis=0)
-        return [CyclotomicInteger.from_exponent_counts(self.field.p, row) for row in acc]
+            acc += doubled[i : i + self.N]
+        return _fold_rows(self.field.p, acc)
 
     def connection_set_elements(self, D) -> np.ndarray:
         """Encodings of all field elements lying in the classes D, in log order."""

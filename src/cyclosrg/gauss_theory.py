@@ -36,6 +36,8 @@ from .finite_field import FieldTable
 from .ntheory import euler_phi, factorize, is_prime, is_squarefree
 
 _NUMERIC_CAP = 1 << 16
+# form counting takes time linear in d: about 0.2 s at the cap
+CLASS_NUMBER_CAP = 10**6
 
 
 class Index2Kind(str, Enum):
@@ -177,6 +179,8 @@ def class_number(d: int) -> int:
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    if d > CLASS_NUMBER_CAP:
+        raise ValueError(f"d = {d} exceeds the cap {CLASS_NUMBER_CAP}")
     if not is_squarefree(d):
         raise ValueError(f"d must be squarefree, got {d}")
     disc = -d if d % 4 == 3 else -4 * d

@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomy import ClassMap, CyclotomicInteger
+from .finite_field import FieldTable
 from .gauss_theory import (
     QuadraticGaussValue,
     class_number,
@@ -184,12 +185,44 @@ def srg_from_spectrum(v: int, k: int, values, source: str = "SPECTRUM") -> SrgCe
     return SrgCertificate(v, k, lam, mu, r, s, mult_r, mult_s, source, mu == 0, False)
 
 
+def _difference_counts(field: FieldTable, elems: np.ndarray) -> np.ndarray:
+    """counts[d] = #{(x, y) in elems^2 : x - y = d} for every encoding d.
+
+    Counts in the log domain with Zech logarithms Z(n) = log(1 - gamma^n):
+    for x = gamma^a and y = gamma^b, x - y = gamma^(a + Z(b - a)).  The
+    table comes from one sub_vec over the antilog table; Z(0) = log(0) = -1
+    is replaced by 2(q-1), so the pairs with x = y land in bins of their own.
+    """
+    n = field.q - 1
+    zech = field.log[field.sub_vec(1, field.antilog)]
+    zech[zech < 0] = 2 * n
+    # indexed by b - a + n in [1, 2n), so no reduction mod n per pair
+    zech2 = np.concatenate((zech, zech))
+    logs = field.log[elems]
+    cols = logs + n
+    k = logs.size
+    bins = np.zeros(3 * n, dtype=np.int64)
+    # blocks of about 2^18 pairs keep each temporary at 2 MB
+    chunk = max(1, (1 << 18) // k)
+    for i in range(0, k, chunk):
+        rows = logs[i : i + chunk, None]
+        idx = zech2[cols - rows]
+        idx += rows
+        bins += np.bincount(idx.ravel(), minlength=3 * n)
+    counts = np.empty(field.q, dtype=np.int64)
+    counts[0] = bins[2 * n :].sum()
+    counts[field.antilog] = bins[:n] + bins[n : 2 * n]
+    return counts
+
+
 def difference_count_oracle(cm: ClassMap, D) -> SrgCertificate | None:
     """Brute-force SRG check of Cay(F_q, D) by counting difference pairs.
 
     Counts r(d) = #{(x, y) in D^2 : x - y = d} for every d; the graph is
     strongly regular iff r is constant on D (lambda) and constant off
-    D u {0} (mu).  Uses only field arithmetic, no characters.
+    D u {0} (mu).  The differences are counted through Zech logarithms
+    (see _difference_counts), still with field arithmetic only, no
+    characters.
     """
     field = cm.field
     q = field.q
@@ -201,11 +234,7 @@ def difference_count_oracle(cm: ClassMap, D) -> SrgCertificate | None:
         raise ValueError(f"difference pair budget exceeded: k^2 = {k * k} > {PAIR_BUDGET}")
     if k == q - 1:
         return None  # complete graph
-    counts = np.zeros(q, dtype=np.int64)
-    chunk = max(1, (1 << 21) // k)
-    for i in range(0, k, chunk):
-        block = field.sub_vec(elems[None, :], elems[i : i + chunk, None])
-        counts += np.bincount(block.ravel(), minlength=q)
+    counts = _difference_counts(field, elems)
     if counts[0] != k or int(counts.sum()) != k * k:
         raise AssertionError("difference counts do not total k at 0 and k^2 in all")
     lam_vals = counts[elems]

@@ -1,10 +1,14 @@
 """In-process tests of the command line front end."""
 
 import json
+import time
 
+import numpy as np
 import pytest
 
 from cyclosrg.cli import main
+from cyclosrg.family_search import _check_scan_bounds
+from cyclosrg.gauss_theory import class_number
 
 
 def run(capsys, *argv):
@@ -194,3 +198,41 @@ def test_scan_pairs_json_prints_long_witnesses(capsys):
     assert [(h["p"], h["p1"]) for h in hits] == [(2, 7), (3, 107), (5, 19), (5, 499), (17, 67), (41, 163)]
     (big,) = [h for h in hits if (h["p"], h["p1"]) == (5, 499)]
     assert len(str(big["r_m2"]).lstrip("-")) == 43423
+
+
+def test_internal_errors_exit_3(capsys, monkeypatch):
+    import cyclosrg.gauss_theory
+    import cyclosrg.srg_engine
+
+    # a broken difference count trips the oracle's guard (AssertionError)
+    monkeypatch.setattr(cyclosrg.srg_engine, "_difference_counts", lambda field, elems: np.zeros(field.q, dtype=np.int64))
+    code, out, err = run(capsys, "verify-srg", "--p", "2", "--f", "4", "--n", "5", "--classes", "0", "--oracle")
+    assert code == 3 and out == "" and err.startswith("internal error: difference counts")
+    assert err.count("\n") == 1
+    # no solution of the quadratic form leaves the Gauss sign unresolved (ArithmeticError)
+    monkeypatch.setattr(cyclosrg.gauss_theory, "_solve_quadratic_form", lambda p, delta, h: [])
+    code, out, err = run(capsys, "gauss-index2", "--p", "2", "--p1", "7", "--m", "1")
+    assert code == 3 and out == "" and err.startswith("internal error: sign resolution")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan-pairs", "--p-max", str(10**15), "--p1-max", "500"),
+        ("scan-pairs", "--p-max", "50", "--p1-max", str(10**15)),
+        ("scan-triples", "--p-max", "5", "--n-max", str(10**15)),
+        ("scan-triples", "--p-max", "10000", "--n-max", "10000"),
+        ("class-number", "--d", str(10**15 + 37)),
+    ],
+)
+def test_oversized_inputs_rejected_before_work(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "cap" in err
+
+
+def test_caps_admit_readme_and_benchmark_bounds():
+    for p_max, other_max in [(50, 500), (60, 600), (5, 400), (20, 2000)]:
+        _check_scan_bounds(p_max, other_max)
+    assert class_number(186011) == 148

@@ -1,5 +1,6 @@
 """Cyclotomic classes, Gauss periods, and exact ring arithmetic."""
 
+import json
 import random
 
 import numpy as np
@@ -101,6 +102,32 @@ def test_ring_mul_paley_large_p():
     p = 32749
     eta0, eta1 = classify(build_field(p, 1), 2).periods()
     assert eta0 * eta1 == (1 - p) // 4
+
+
+def test_ring_constructor_normalizes_to_int():
+    for coeffs in [(np.int64(2), True), np.array([2, 1]), [np.int32(2), np.uint8(1)], (2, 1)]:
+        z = CyclotomicInteger(3, coeffs)
+        assert z.coeffs == (2, 1)
+        assert all(type(c) is int for c in z.coeffs)
+        assert z == CyclotomicInteger(3, (2, 1)) and hash(z) == hash(CyclotomicInteger(3, (2, 1)))
+    assert CyclotomicInteger(2, (np.int64(-4),)) == -4
+    assert json.dumps(CyclotomicInteger(5, (False, np.int16(-3), 7, np.uint64(2))).coeffs) == "[0, -3, 7, 2]"
+
+
+def test_count_matrix_rows_match_exponent_counts():
+    # periods and connection sums are folded from their count matrices in numpy;
+    # each row must be the element from_exponent_counts gives for it
+    for p, f, N, D in [(2, 4, 5, (0, 2)), (2, 6, 9, (0, 3, 6)), (3, 4, 8, (0, 4, 5)), (5, 2, 6, (1, 2)), (13, 1, 4, (0, 2)), (4093, 1, 6, (0, 3))]:
+        cm = classify(get_field(p, f), N)
+        tally = np.asarray(cm.tally)
+        rows = [sum(tally[(a + i) % N] for i in D) for a in range(N)]
+        for values, counts in ((cm.periods(), tally), (cm.connection_sums(D), rows)):
+            assert len(values) == N
+            for value, row in zip(values, counts):
+                want = CyclotomicInteger.from_exponent_counts(p, row)
+                assert value == want and hash(value) == hash(want), (p, f, N, D)
+                assert all(type(c) is int for c in value.coeffs)
+                json.dumps(value.coeffs)
 
 
 def test_ring_errors():

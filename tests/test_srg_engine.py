@@ -8,13 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclosrg.cyclotomy import CyclotomicInteger, classify
+from cyclosrg.ntheory import divisors, is_prime
 from cyclosrg.srg_engine import (
     REASON_DIOPHANTINE_FAIL,
     REASON_MOD4_PATTERN,
     REASON_NOT_INDEX2,
     REASON_NOT_PRIME,
+    _difference_counts,
     difference_count_oracle,
     pair_family_check,
     predicted_spectrum_prime_power,
@@ -162,6 +165,28 @@ def test_oracle_count_guard_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("optimize=1 raised: difference counts"), proc.stdout
+
+
+def _reference_difference_counts(fld, elems):
+    # every difference digit by digit through sub_vec, then one bincount by encoding
+    return np.bincount(fld.sub_vec(elems[None, :], elems[:, None]).ravel(), minlength=fld.q)
+
+
+# every field with 3 <= q <= 2^10: p = 2, prime fields and odd p with f > 1
+_SMALL_FIELDS = [(p, f) for p in range(2, 1 << 10) if is_prime(p) for f in range(1, 11) if 2 < p**f <= 1 << 10]
+
+
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_difference_counts_match_per_digit_reference(seed):
+    rng = np.random.default_rng(seed)
+    for p, f in _SMALL_FIELDS:
+        fld = get_field(p, f)
+        N = int(rng.choice([N for N in divisors(fld.q - 1) if N >= 2]))
+        D = np.flatnonzero(rng.random(N) < rng.random()).tolist() or [int(rng.integers(N))]
+        elems = classify(fld, N).connection_set_elements(D)
+        got = _difference_counts(fld, elems)
+        assert np.array_equal(got, _reference_difference_counts(fld, elems)), (p, f, N, D)
 
 
 def test_oracle_agrees_with_spectrum_on_small_grid():

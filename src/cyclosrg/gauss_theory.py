@@ -16,7 +16,14 @@ forms used here:
 
   h is the class number of Q(sqrt(-delta)), h0 = (f - h)/2, the sign of b
   is pinned by an explicit congruence, and only the sign of c is ambiguous
-  (it depends on the choice of sqrt(-delta)).
+  (it depends on the choice of sqrt(-delta)).  (b, c) comes from
+  Cornacchia's algorithm, in time polynomial in log p^h: square roots of
+  -delta modulo 4 p^h give the solutions with gcd(b, c) = 1, and for odd p
+  those modulo p^h, doubled, give the ones with gcd(b, c) = 2.
+
+Exponents and sizes are capped (INDEX2_EXPONENT_CAP, QUADRATIC_FORM_BITS_CAP,
+SEMIPRIMITIVE_BITS_CAP, CLASS_NUMBER_CAP) with a ValueError before the work
+they bound.
 
 Everything here is exact integer arithmetic; gauss_sum_numeric provides an
 independent floating point evaluation for cross-checks.
@@ -38,6 +45,18 @@ from .ntheory import euler_phi, factorize, is_prime, is_squarefree
 _NUMERIC_CAP = 1 << 16
 # form counting takes time linear in d: about 0.2 s at the cap
 CLASS_NUMBER_CAP = 10**6
+# index-2 sums factor p1^m by trial division and find the order of p by
+# powers modulo p1^m, so m is capped; the slowest input inside the caps,
+# gauss-index2 --p 2 --p1 999983 --m 64, took 0.8 s on a 2-vCPU VM
+INDEX2_EXPONENT_CAP = 64
+# Cornacchia's Euclid step costs time quadratic in the size of 4 p^h, so p^h
+# is capped at 2^14 bits, counted as h times the bit length of p; the slowest
+# solve inside the cap, p = 2 and h = 8192 (bit-by-bit 2-adic lift), took 0.7 s
+QUADRATIC_FORM_BITS_CAP = 1 << 14
+# semi-primitive sums print p^{r/2} in full: capped at 2^16 bits, counted as
+# r/2 times the bit length of p; gauss-semiprimitive --p 3 --n 4 --f 65536,
+# the largest value inside the cap, took 0.02 s
+SEMIPRIMITIVE_BITS_CAP = 1 << 16
 
 
 class Index2Kind(str, Enum):
@@ -126,7 +145,11 @@ def mult_order(a: int, n: int) -> int:
         raise ValueError(f"modulus must be >= 2, got {n}")
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} and {n} are not coprime")
-    order = euler_phi(n)
+    return _reduce_order(a, n, euler_phi(n))
+
+
+def _reduce_order(a: int, n: int, order: int) -> int:
+    """The order of a modulo n, given a multiple of it."""
     for prime in factorize(order):
         while order % prime == 0 and pow(a, order // prime, n) == 1:
             order //= prime
@@ -210,21 +233,26 @@ def semiprimitive_gauss(p: int, N: int, r: int) -> SemiprimitiveGauss:
 
     Requires the least t with p^t = -1 mod N to exist and r = 2ts.  Then
     p^{-r/2} g(chi) is (-1)^{s-1} for p = 2 and (-1)^{s-1 + (p^t+1)s/N}
-    for odd p.
+    for odd p.  The order 2t of p modulo N divides r, so it comes from the
+    factors of r, and N is never factored.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if N <= 2:
         raise ValueError(f"N must be at least 3, got {N}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    if r // 2 * p.bit_length() > SEMIPRIMITIVE_BITS_CAP:
+        raise ValueError(f"p^(r/2) = {p}^{r // 2} exceeds the cap of {SEMIPRIMITIVE_BITS_CAP} bits")
     if math.gcd(p, N) != 1:
         raise ValueError(f"p = {p} and N = {N} are not coprime")
-    order = mult_order(p, N)
+    if pow(p, r, N) != 1:
+        raise ValueError(f"r = {r} is not a multiple of the order of {p} modulo {N}")
+    order = _reduce_order(p, N, r)
     if order % 2 or pow(p, order // 2, N) != N - 1:
         raise ValueError(f"no power of {p} is -1 modulo {N}")
     t = order // 2
-    if r % (2 * t):
-        raise ValueError(f"r = {r} is not a multiple of 2t = {2 * t}")
-    s = r // (2 * t)
+    s = r // order
     if p == 2:
         exponent = s - 1
     else:
@@ -232,18 +260,98 @@ def semiprimitive_gauss(p: int, N: int, r: int) -> SemiprimitiveGauss:
     return SemiprimitiveGauss(p, N, r, t, s, -1 if exponent % 2 else 1)
 
 
+def _sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
+    """Every r in [0, p^k) with r^2 = a mod p^k, for a prime to p and k >= 1.
+
+    Odd p: Tonelli-Shanks modulo p, then Newton steps r -= (r^2 - a) / (2r),
+    each doubling the p-adic precision; the roots are +-r.  p = 2: a root
+    modulo 8 lifts bit by bit (r or r + 2^(j-1) is a root modulo 2^(j+1)),
+    and the roots are +-r and +-r + 2^(k-1).
+    """
+    pk = p**k
+    if p == 2:
+        if k <= 3:
+            return [r for r in range(1, pk, 2) if (r * r - a) % pk == 0]
+        if a % 8 != 1:
+            return []
+        r = 1
+        for j in range(3, k):
+            if (r * r - a) % (2 << j):
+                r += 1 << (j - 1)
+        return [r, pk - r, (r + pk // 2) % pk, (pk // 2 - r) % pk]
+    if pow(a, (p - 1) // 2, p) != 1:
+        return []
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        r, c, s = r * b % p, b * b % p, i
+        t = t * c % p
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        mod = p**prec
+        r = (r - (r * r - a) * pow(2 * r, -1, mod)) % mod
+    return [r, pk - r]
+
+
 def _solve_quadratic_form(p: int, delta: int, h: int) -> list[tuple[int, int]]:
-    """All (|b|, |c|) with b^2 + delta c^2 = 4 p^h and p dividing neither."""
-    target = 4 * p**h
-    out = []
-    c = 1
-    while delta * c * c < target:
-        bb = target - delta * c * c
-        b = math.isqrt(bb)
-        if b * b == bb and b >= 1 and b % p and c % p:
-            out.append((b, c))
-        c += 1
-    return out
+    """All (|b|, |c|) with b^2 + delta c^2 = 4 p^h and p dividing neither, by c.
+
+    Cornacchia's algorithm (Cohen, Alg. 1.5.2/1.5.3): each square root r of
+    -delta modulo m runs Euclid on (m, r) down to the first remainder
+    x <= sqrt(m), and gives x^2 + delta y^2 = m when (m - x^2) / delta is a
+    square y^2.  (Folding r into (0, m/2] is not needed: for r > m/2, Euclid
+    on (m, r) and on (m, m - r) reach the same remainders below m/2; r and
+    -r give the same solution.)  These are the solutions with gcd(x, y) = 1,
+    and p divides neither x nor y when p does not divide delta.  With p
+    dividing neither b nor c, gcd(b, c) is 1 or 2, so m = 4 p^h gives the
+    first kind and, for odd p, m = p^h doubled gives the second (delta = 7,
+    p = 11, h = 1 has only (4, 2)).  The cost is polynomial in log p^h; no
+    loop runs over c.
+    """
+    if h < 1 or delta < 2:
+        raise ValueError(f"need h >= 1 and delta >= 2, got h = {h}, delta = {delta}")
+    if h * p.bit_length() > QUADRATIC_FORM_BITS_CAP:
+        raise ValueError(f"p^h = {p}^{h} exceeds the cap of {QUADRATIC_FORM_BITS_CAP} bits")
+    if delta % p == 0:
+        return []  # b^2 = -delta c^2 = 0 mod p
+    ph = p**h
+    if p == 2:
+        # b and c are odd, so every solution is primitive
+        forms = [(4 * ph, 1, _sqrt_mod_prime_power(-delta, 2, h + 2))]
+    else:
+        roots = _sqrt_mod_prime_power(-delta, p, h)
+        inv = pow(ph, -1, 4)
+        crt = [r + ph * ((t - r) * inv % 4) for r in roots for t in _sqrt_mod_prime_power(-delta, 2, 2)]
+        forms = [(4 * ph, 1, crt), (ph, 2, roots)]
+    found = set()
+    for m, scale, roots in forms:
+        limit = math.isqrt(m)
+        for r in roots:
+            a, x = m, r
+            while x > limit:
+                a, x = x, a % x
+            y2, rest = divmod(m - x * x, delta)
+            y = math.isqrt(y2)
+            if rest == 0 and y >= 1 and y * y == y2:
+                found.add((scale * x, scale * y))
+    return sorted(found, key=lambda bc: bc[1])
+
+
+def _check_exponent(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if m > INDEX2_EXPONENT_CAP:
+        raise ValueError(f"m = {m} exceeds the cap {INDEX2_EXPONENT_CAP}")
 
 
 def index2_gauss_prime_power(p: int, p1: int, m: int) -> QuadraticGaussValue:
@@ -258,13 +366,12 @@ def index2_gauss_prime_power(p: int, p1: int, m: int) -> QuadraticGaussValue:
         raise ValueError(f"p1 must exceed 3, got {p1}")
     if p1 % 4 != 3:
         raise ValueError(f"p1 must be 3 mod 4, got {p1}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_exponent(m)
+    h = class_number(p1)
     case = classify_index2(p, p1**m)
     if case.tag is not Index2Kind.PRIME_POWER:
         raise ValueError(f"<{p}> does not have index 2 without -1 modulo {p1}**{m} (got {case.tag.value})")
     f = euler_phi(p1**m) // 2
-    h = class_number(p1)
     if (f - h) % 2:
         raise ValueError("f - h is odd, no integral h0 exists")
     h0 = (f - h) // 2
@@ -295,17 +402,16 @@ def index2_gauss_two_primes(p: int, p1: int, p2: int, m: int) -> QuadraticGaussV
         raise ValueError("p1 and p2 must be distinct")
     if {p1 % 4, p2 % 4} != {1, 3}:
         raise ValueError(f"need one prime 1 mod 4 and one 3 mod 4, got {p1}, {p2}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_exponent(m)
+    delta = p1 * p2
+    h = class_number(delta)
     N = p1**m * p2
     case = classify_index2(p, N)
     if case.tag is not Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX:
         raise ValueError(f"<{p}> modulo {N} is not the two-prime index-2 case (got {case.tag.value})")
     if mult_order(p, p1**m) != euler_phi(p1**m) or mult_order(p, p2) != p2 - 1:
         raise ValueError("p must have full order modulo p1^m and modulo p2")
-    delta = p1 * p2
     f = euler_phi(N) // 2
-    h = class_number(delta)
     if (f - h) % 2:
         raise ValueError("f - h is odd, no integral h0 exists")
     h0 = (f - h) // 2

@@ -1,20 +1,27 @@
 """Elementary number theory helpers shared across the package.
 
-Everything is exact integer arithmetic.  Inputs stay far below the range
-where the fixed Miller-Rabin witness set is deterministic (< 3.3e24).
+Everything is exact integer arithmetic.  Primality is decided by
+Miller-Rabin with a fixed witness set, deterministic below PRIME_TEST_BOUND;
+larger inputs are rejected with ValueError.
 """
 
 from __future__ import annotations
 
 import math
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes as witnesses admit no strong pseudoprime below
+# psi_13 = 3317044064679887385961981 (Sorenson and Webster, 2015); the first
+# 12 only stop at psi_12 = 318665857834031151167461 = 399165290221 * 798330580441
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Deterministic Miller-Rabin primality test for n < PRIME_TEST_BOUND (about 3.3e24)."""
     if n < 2:
         return False
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality of {n} is only decided below {PRIME_TEST_BOUND}")
     for w in _MR_WITNESSES:
         if n % w == 0:
             return n == w

@@ -5,10 +5,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cyclosrg.cli import main
 from cyclosrg.family_search import _check_scan_bounds
-from cyclosrg.gauss_theory import class_number
+from cyclosrg.gauss_theory import (
+    INDEX2_EXPONENT_CAP,
+    class_number,
+    index2_gauss_prime_power,
+    semiprimitive_gauss,
+)
 
 
 def run(capsys, *argv):
@@ -223,6 +230,13 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
         ("scan-triples", "--p-max", "5", "--n-max", str(10**15)),
         ("scan-triples", "--p-max", "10000", "--n-max", "10000"),
         ("class-number", "--d", str(10**15 + 37)),
+        ("gauss-index2", "--p", "2", "--p1", "7", "--m", "8000"),
+        ("gauss-index2", "--p", "2", "--p1", "3", "--p2", "5", "--m", "4000"),
+        ("gauss-index2", "--p", "2", "--p1", "1000003", "--m", "1"),
+        # index 2 holds, h(-18119) = 205, and p^h has 16605 bits (81 per p)
+        ("gauss-index2", "--p", "1208925819614629174706261", "--p1", "18119", "--m", "1"),
+        ("gauss-semiprimitive", "--p", "3", "--n", "4", "--f", "800000"),
+        ("gauss-semiprimitive", "--p", "2", "--n", "3", "--f", str(10**15)),
     ],
 )
 def test_oversized_inputs_rejected_before_work(capsys, argv):
@@ -230,9 +244,148 @@ def test_oversized_inputs_rejected_before_work(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and "cap" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        # 399165290221 * 798330580441 passes Miller-Rabin to the bases 2..37
+        ("318665857834031151167461", "must be prime"),
+        ("3317044064679887385961981", "only decided below"),
+    ],
+)
+def test_primality_bound_exits_2(capsys, p, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gauss-index2", "--p", p, "--p1", "19", "--m", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("error:") and message in err
+    assert err.count("\n") == 1
 
 
 def test_caps_admit_readme_and_benchmark_bounds():
     for p_max, other_max in [(50, 500), (60, 600), (5, 400), (20, 2000)]:
         _check_scan_bounds(p_max, other_max)
     assert class_number(186011) == 148
+    # the benchmark's index-2 pools use m <= 2 and c_max <= 5e5; its largest
+    # semi-primitive value is 19^88
+    assert INDEX2_EXPONENT_CAP >= 2
+    assert index2_gauss_prime_power(73, 223, 2).c_abs is not None
+    assert abs(semiprimitive_gauss(19, 89, 176).value()) == 19**88
+
+
+def test_gauss_index2_large_class_number_is_quick(capsys):
+    # the brute-force solver scanned 1.9e7 values of c here (h = 10)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "gauss-index2", "--p", "41", "--p1", "13", "--p2", "11", "--m", "1", "--format", "json")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    data = json.loads(out)
+    assert (data["h"], data["h0"], data["b"], data["c_abs"]) == (10, 25, 231619298, 549240)
+
+
+_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 43, 47, 59, 67, 107])
+# well-formed values per option: small, so that admitted inputs stay quick
+_GOOD = {
+    "--p": _PRIMES | st.integers(-2, 12),
+    "--p1": _PRIMES,
+    "--p2": _PRIMES,
+    "--m": st.integers(-1, 4),
+    "--n": st.integers(0, 60),
+    "--f": st.integers(0, 48),
+    "--d": st.integers(-2, 500),
+    "--p-max": st.integers(0, 12),
+    "--p1-max": st.integers(0, 120),
+    "--n-max": st.integers(0, 60),
+}
+_OVERSIZED = st.sampled_from(
+    [
+        INDEX2_EXPONENT_CAP + 1,
+        10**5 + 3,
+        10**15 + 37,
+        2**64 + 13,
+        318665857834031151167461,
+        3317044064679887385961981,
+        10**30,
+    ]
+)
+_MALFORMED = st.sampled_from(["", "x", "1.5", "0x10", "1e3", "--", "7,7"])
+_COMMANDS = {
+    "gauss-index2": ("--p", "--p1", "--p2", "--m"),
+    "gauss-semiprimitive": ("--p", "--n", "--f"),
+    "class-number": ("--d",),
+    "scan-pairs": ("--p-max", "--p1-max"),
+    "scan-triples": ("--p-max", "--n-max"),
+}
+
+
+# valid argv from the README, the tests and the benchmark pools
+_VALID = [
+    ("gauss-index2", "--p", 2, "--p1", 7, "--m", 2),
+    ("gauss-index2", "--p", 3, "--p1", 107, "--m", 1),
+    ("gauss-index2", "--p", 5, "--p1", 19, "--m", 2),
+    ("gauss-index2", "--p", 2, "--p1", 3, "--p2", 5, "--m", 2),
+    ("gauss-index2", "--p", 3, "--p1", 17, "--p2", 19, "--m", 1),
+    ("gauss-index2", "--p", 41, "--p1", 13, "--p2", 11, "--m", 1),
+    ("gauss-semiprimitive", "--p", 2, "--n", 5, "--f", 8),
+    ("gauss-semiprimitive", "--p", 19, "--n", 89, "--f", 176),
+    ("class-number", "--d", 107),
+    ("scan-pairs", "--p-max", 10, "--p1-max", 110),
+    ("scan-triples", "--p-max", 3, "--n-max", 40),
+]
+
+
+@st.composite
+def _random_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for flag in _COMMANDS[command]:
+        kind = draw(st.integers(0, 19))
+        if kind == 0 or (flag == "--p2" and kind < 10):
+            continue  # a missing option, required or not
+        if kind == 1:
+            value = draw(_MALFORMED)
+        elif kind in (2, 3):
+            value = str(draw(_OVERSIZED))
+        else:
+            value = str(draw(_GOOD[flag]))
+        argv += [flag, value]
+    return argv
+
+
+@st.composite
+def _mutated_argv(draw):
+    """A valid argv with at most one value replaced."""
+    argv = [str(x) for x in draw(st.sampled_from(_VALID))]
+    i = 2 + 2 * draw(st.integers(0, len(argv) // 2 - 1))
+    new = draw(st.one_of(st.none(), _GOOD[argv[i - 1]].map(str), _OVERSIZED.map(str), _MALFORMED))
+    if new is not None:
+        argv[i] = new
+    return argv
+
+
+@st.composite
+def _argvs(draw):
+    argv = draw(st.one_of(_random_argv(), _mutated_argv()))
+    return argv + ["--format", draw(st.sampled_from(["json", "tsv", "pretty"] * 6 + ["xml"]))]
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_argvs())
+def test_main_fuzz_exits_cleanly(capsys, argv):
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects malformed argv with exit 2
+        code = exc.code
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    assert elapsed < 2.0, argv

@@ -1,11 +1,17 @@
 """Orders, index-2 classification, class numbers, and exact Gauss sums."""
 
 import math
+import time
 
 import pytest
 
 from cyclosrg.gauss_theory import (
+    INDEX2_EXPONENT_CAP,
+    QUADRATIC_FORM_BITS_CAP,
+    SEMIPRIMITIVE_BITS_CAP,
     Index2Kind,
+    _solve_quadratic_form,
+    _sqrt_mod_prime_power,
     class_number,
     classify_index2,
     gauss_sum_numeric,
@@ -14,6 +20,7 @@ from cyclosrg.gauss_theory import (
     mult_order,
     semiprimitive_gauss,
 )
+from cyclosrg.ntheory import is_squarefree, primes_upto
 
 from conftest import get_field
 
@@ -183,6 +190,41 @@ def test_semiprimitive_errors():
         semiprimitive_gauss(2, 7, 6)
     with pytest.raises(ValueError, match="multiple"):
         semiprimitive_gauss(2, 5, 6)
+    with pytest.raises(ValueError, match="prime"):
+        semiprimitive_gauss(4, 5, 4)
+
+
+def test_semiprimitive_order_from_r_matches_mult_order():
+    # the order 2t is read off the factors of r; N is never factored
+    for p in primes_upto(50):
+        for N in range(3, 200):
+            if math.gcd(p, N) != 1:
+                continue
+            order = mult_order(p, N)
+            if order % 2 or pow(p, order // 2, N) != N - 1:
+                with pytest.raises(ValueError):
+                    semiprimitive_gauss(p, N, 2 * order)
+                continue
+            for s in (1, 2, 3):
+                if s * order // 2 * p.bit_length() > SEMIPRIMITIVE_BITS_CAP:
+                    break
+                g = semiprimitive_gauss(p, N, s * order)
+                assert (g.t, g.s) == (order // 2, s), (p, N, s)
+
+
+def test_semiprimitive_size_cap():
+    # p^{r/2} of 2^16 bits is admitted and quick; one step further is rejected
+    start = time.perf_counter()
+    g = semiprimitive_gauss(3, 4, 2 * (SEMIPRIMITIVE_BITS_CAP // 2))
+    assert abs(g.value()) == 3 ** (SEMIPRIMITIVE_BITS_CAP // 2)
+    with pytest.raises(ValueError, match="cap"):
+        semiprimitive_gauss(3, 4, 2 * (SEMIPRIMITIVE_BITS_CAP // 2 + 1))
+    with pytest.raises(ValueError, match="cap"):
+        semiprimitive_gauss(3, 4, 8 * 10**5)
+    # a huge prime character order is never factored
+    with pytest.raises(ValueError, match="multiple"):
+        semiprimitive_gauss(3, 10**30 + 57, 2)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +293,95 @@ def test_index2_magnitude_identity():
         index2_gauss_two_primes(3, 17, 19, 1),
     ]:
         assert (g.b**2 + g.delta * g.c_abs**2) * g.p ** (2 * g.h0) == 4 * g.p**g.f
+
+
+# ---------------------------------------------------------------------------
+# the quadratic form b^2 + delta c^2 = 4 p^h
+
+
+def _reference_solve(p: int, delta: int, h: int) -> list[tuple[int, int]]:
+    """The brute-force scan over c that Cornacchia's algorithm replaced."""
+    target = 4 * p**h
+    out = []
+    c = 1
+    while delta * c * c < target:
+        bb = target - delta * c * c
+        b = math.isqrt(bb)
+        if b * b == bb and b >= 1 and b % p and c % p:
+            out.append((b, c))
+        c += 1
+    return out
+
+
+def test_solver_matches_reference_scan():
+    # p = 2, delta not 3 mod 4 and gcd(b, c) = 2 all occur; the order of the
+    # list (increasing c) is part of the contract
+    cases = nonempty = 0
+    for delta in filter(is_squarefree, range(3, 200)):
+        for p in primes_upto(30):
+            if delta % p == 0:
+                continue
+            for h in range(1, 7):
+                if delta >= 4 * p**h:
+                    continue
+                want = _reference_solve(p, delta, h)
+                assert _solve_quadratic_form(p, delta, h) == want, (p, delta, h)
+                cases += 1
+                nonempty += bool(want)
+    assert cases == 5122 and nonempty > 500
+
+
+def test_solver_named_cases():
+    # gcd(b, c) = 2: 4^2 + 7 * 2^2 = 44, and no primitive solution exists
+    assert _solve_quadratic_form(11, 7, 1) == [(4, 2)]
+    # gauss-index2 --p 41 --p1 13 --p2 11 --m 1: c_max is about 1.9e7
+    start = time.perf_counter()
+    assert _solve_quadratic_form(41, 143, 10) == [(231619298, 549240)]
+    assert time.perf_counter() - start < 0.01
+    # -delta is not a square modulo p: no solution, as with the scan
+    assert _solve_quadratic_form(5, 7, 3) == _reference_solve(5, 7, 3) == []
+    # p | delta forces p | b
+    assert _solve_quadratic_form(7, 7, 2) == []
+
+
+def test_solver_errors_and_cap():
+    with pytest.raises(ValueError, match="delta >= 2"):
+        _solve_quadratic_form(5, 1, 1)
+    with pytest.raises(ValueError, match="h >= 1"):
+        _solve_quadratic_form(5, 7, 0)
+    h = QUADRATIC_FORM_BITS_CAP // 2  # 2 has bit length 2
+    start = time.perf_counter()
+    assert _solve_quadratic_form(2, 999983, h) == []
+    with pytest.raises(ValueError, match="cap"):
+        _solve_quadratic_form(2, 999983, h + 1)
+    assert time.perf_counter() - start < 3.0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_square_roots_modulo_prime_powers(p):
+    for k in range(1, 13):
+        pk = p**k
+        if pk > 4096:
+            break
+        for a in range(-60, 60):
+            if a % p == 0:
+                continue
+            want = [r for r in range(pk) if (r * r - a) % pk == 0]
+            assert sorted(_sqrt_mod_prime_power(a, p, k)) == want, (a, p, k)
+
+
+def test_index2_exponent_cap():
+    start = time.perf_counter()
+    assert index2_gauss_prime_power(2, 7, INDEX2_EXPONENT_CAP).b == -1
+    for m in (INDEX2_EXPONENT_CAP + 1, 8000):
+        with pytest.raises(ValueError, match="cap"):
+            index2_gauss_prime_power(2, 7, m)
+        with pytest.raises(ValueError, match="cap"):
+            index2_gauss_two_primes(2, 3, 5, m)
+    # p1 beyond the class-number cap is rejected before p1^m is factored
+    with pytest.raises(ValueError, match="cap"):
+        index2_gauss_prime_power(2, 1000003, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_index2_domain_errors():

@@ -228,7 +228,7 @@ def _trace_table(p: int, s: list[int]) -> np.ndarray:
 class FieldTable:
     """Immutable table model of F_{p^f}; build with build_field."""
 
-    __slots__ = ("p", "f", "q", "modulus", "antilog", "log", "trace", "_neg")
+    __slots__ = ("p", "f", "q", "modulus", "antilog", "log", "trace")
 
     def __init__(self, p: int, f: int, modulus: tuple[int, ...], antilog: np.ndarray, log: np.ndarray, trace: np.ndarray):
         self.p = p
@@ -238,7 +238,6 @@ class FieldTable:
         self.antilog = antilog
         self.log = log
         self.trace = trace
-        self._neg: np.ndarray | None = None
         for arr in (antilog, log, trace):
             arr.setflags(write=False)
 
@@ -308,20 +307,6 @@ class FieldTable:
             pw *= self.p
         return res
 
-    def neg_table(self) -> np.ndarray:
-        """neg_table()[x] is the encoding of -x."""
-        if self._neg is None:
-            if self.p == 2:
-                neg = np.arange(self.q, dtype=np.int64)
-            else:
-                neg = np.zeros(self.q, dtype=np.int64)
-                half = (self.q - 1) // 2
-                idx = (np.arange(self.q - 1) + half) % (self.q - 1)
-                neg[self.antilog] = self.antilog[idx]
-            neg.setflags(write=False)
-            self._neg = neg
-        return self._neg
-
 
 def _find_generator(p: int, f: int, q: int, mod_low: tuple[int, ...]) -> int:
     if q <= 3:
@@ -351,6 +336,9 @@ def build_field(p: int, f: int, modulus: tuple[int, ...] | None = None) -> Field
         raise ValueError(f"p must be prime, got {p}")
     if f < 1:
         raise ValueError(f"f must be >= 1, got {f}")
+    # p >= 2, so f alone bounds q; checked first so that no huge p**f is formed
+    if f > SIZE_CAP.bit_length() - 1:
+        raise ValueError(f"extension degree f = {f} exceeds the cap {SIZE_CAP.bit_length() - 1}")
     q = p**f
     if q > SIZE_CAP:
         raise ValueError(f"field size {q} exceeds the cap {SIZE_CAP}")

@@ -41,6 +41,10 @@ from .gauss_theory import (
 from .ntheory import euler_phi, is_prime
 
 PAIR_BUDGET = 1 << 26
+# closed-form predictions form p^f in full: capped at 2^20 bits, counted as f
+# times the bit length of p; the largest family hit inside the scan caps,
+# (5, 499) at m = 2, needs 372753 bits
+PREDICTION_BITS_CAP = 1 << 20
 
 # reason codes for family criterion rejections
 REASON_NOT_PRIME = "NOT_PRIME"
@@ -326,6 +330,8 @@ def predicted_spectrum_prime_power(p: int, p1: int, m: int) -> PredictedSpectrum
         +- branches: +-c p^{h0} / 2 - b p^{h0} / (2 p1) - 1/p1
     """
     gauss = index2_gauss_prime_power(p, p1, m)
+    if gauss.f * p.bit_length() > PREDICTION_BITS_CAP:
+        raise ValueError(f"p^f = {p}^{gauss.f} exceeds the cap of {PREDICTION_BITS_CAP} bits")
     b, c, h0 = gauss.b, gauss.c_abs, gauss.h0
     ph0 = p**h0
     base = -Fraction(b * ph0, 2 * p1) - Fraction(1, p1)
@@ -348,6 +354,8 @@ def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> Predicted
     is exactly the collapse of the last three onto the first two.
     """
     gauss = index2_gauss_two_primes(p, p1, p2, m)
+    if gauss.f * p.bit_length() > PREDICTION_BITS_CAP:
+        raise ValueError(f"p^f = {p}^{gauss.f} exceeds the cap of {PREDICTION_BITS_CAP} bits")
     if not gauss.resolved:
         raise ValueError("Gauss sum sign unresolved (odd class number), no prediction possible")
     b, c, h0 = gauss.b, gauss.c_abs, gauss.h0

@@ -1,5 +1,6 @@
 """In-process tests of the command line front end."""
 
+import hashlib
 import json
 import time
 
@@ -207,6 +208,91 @@ def test_scan_pairs_json_prints_long_witnesses(capsys):
     assert len(str(big["r_m2"]).lstrip("-")) == 43423
 
 
+# (argv, exit code, sha256 of stdout) for every subcommand in every format.
+# Periods with irrational values are left out: their re/im floats come from
+# a numpy dot product whose last bits may vary between BLAS builds.
+_GOLDEN = [
+    ("build-field --p 2 --f 3 --format json", 0, "9ee0e4d9ad83b5f1f871566efb13cf90a772ffc8daaa1434da8852f3cae02f74"),
+    ("build-field --p 2 --f 3 --format tsv", 0, "e6fc9d31bf51ad34cd8e36161ef6080d3d655e4aa05f3af0f3a688f0229757b9"),
+    ("build-field --p 2 --f 3 --format pretty", 0, "90d918b071511e097deb7c7e8f7342265d598cfd6bc98dbb5f1c6c251d0301c0"),
+    ("build-field --p 3 --f 2 --dump-tables --format json", 0, "72c6cb59a73b4ac1e8f034eef61dc43283f65b560d94b71f9017686b43ab3411"),
+    ("build-field --p 3 --f 2 --dump-tables --format tsv", 0, "d7cf3aea15e63e706494c1d7b067834a60e133a1afb84e288f6974dba89b7329"),
+    ("build-field --p 3 --f 2 --dump-tables --format pretty", 0, "9abbddb7adc6a52e4b56dfc7a20143aab2af6c086309bfb43728892004aaf9df"),
+    ("build-field --p 2 --f 2 --modulus 1,1,1 --format json", 0, "fa8e0ceb3a9ee09c1111dabb31b352b521cf7400a160f0cc815784d0297fb03d"),
+    ("build-field --p 2 --f 2 --modulus 1,1,1 --format tsv", 0, "8a27a1f1c503671ade64792c03d1712c1f6df05b7087df5b900f71bf77b7fb73"),
+    ("build-field --p 2 --f 2 --modulus 1,1,1 --format pretty", 0, "02d7ececfc133f75204019ecb76c722bbece7ed7c73390137ce4fed4df6d9c7a"),
+    ("build-field --p 4 --f 2 --format json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("build-field --p 4 --f 2 --format tsv", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("build-field --p 4 --f 2 --format pretty", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("periods --p 2 --f 4 --n 5 --format json", 0, "4805decbdd44ccb56c36ad30b5b08ae3b8636326847a437e7378d1121ec4a0fa"),
+    ("periods --p 2 --f 4 --n 5 --format tsv", 0, "b6dc28a3dd4465a4cd0e92e447de636412e6ec837ed0abee2d2d0a4979cd6c97"),
+    ("periods --p 2 --f 4 --n 5 --format pretty", 0, "c9ba03f220e0b78f8f899615c63cfd106dd4a9c797c4df52a9144bc8889c8d15"),
+    ("periods --p 2 --f 4 --n 5 --tally --format json", 0, "4f79d8baf6526fee5b5dcde34285b0e7024d327424de50ef7210b655fbf4b6fb"),
+    ("periods --p 2 --f 4 --n 5 --tally --format tsv", 0, "a01e30730e6d8e9a8a2c3677b67f623afddf31bd92d79dc2f9bdde32727d8b63"),
+    ("periods --p 2 --f 4 --n 5 --tally --format pretty", 0, "a5b5437163ab69cb51c0327f53d9a23aae2de7dd694e42ae7bedbe9277fcbf57"),
+    ("periods --p 3 --f 2 --n 4 --tally --format json", 0, "3bda631183d02b7fd2dada0e9dd076da12681fc63a99be5f24a5dc490cf2d12a"),
+    ("periods --p 3 --f 2 --n 4 --tally --format tsv", 0, "e3f223de4b75e6244a84626e9b9ded2f80e7155b481cc1831f8e2d9334582e9e"),
+    ("periods --p 3 --f 2 --n 4 --tally --format pretty", 0, "b3709defed0664d5f0360cb5369a1947251cc082a27624479bb9fa274cb0703e"),
+    ("verify-srg --p 2 --f 4 --n 3 --classes 0 --format json", 0, "60a1eee6b0ef9499a25e2d3a530783483fcf98f261e6f4c46a85ca8c1f16175d"),
+    ("verify-srg --p 2 --f 4 --n 3 --classes 0 --format tsv", 0, "1e047ae045d1139e5f41336b5733c65774db9400bc3c7a1ceee169925ee5f9b6"),
+    ("verify-srg --p 2 --f 4 --n 3 --classes 0 --format pretty", 0, "db26c477ca5966ac91d801574b120cfd1accba843caa01faa977d9c0393ef966"),
+    ("verify-srg --p 2 --f 4 --n 3 --classes 0 --oracle --format json", 0, "083f2b227198e8122c3e419d10b6f1380a8e9bcedfc61fda21b4e0de734ab6ee"),
+    ("verify-srg --p 2 --f 4 --n 3 --classes 0 --oracle --format tsv", 0, "2c7a956257db049ff57cf01e4ac16b34119d02a5b562abe6d145af305c068265"),
+    ("verify-srg --p 2 --f 4 --n 3 --classes 0 --oracle --format pretty", 0, "fc654faf8069b6a0203ef3822e0dadc81f30a9a81eda102948d80ab4863c369c"),
+    ("verify-srg --p 2 --f 4 --n 15 --classes 0,1 --format json", 1, "3e9cf995d5645e27dfe2a871395e22c8d3a52e3f94772f5db992919f18f5ebb2"),
+    ("verify-srg --p 2 --f 4 --n 15 --classes 0,1 --format tsv", 1, "81cefafded2f3ff4b7be2855f6cabf5d411a96d92ad5a5511ac30960c8e2b227"),
+    ("verify-srg --p 2 --f 4 --n 15 --classes 0,1 --format pretty", 1, "66cd163ce127d6d70358acbd1c61d47de5439c97b6028b4b01a5a83f22b69d1a"),
+    ("verify-srg --p 2 --f 4 --n 15 --classes 0,1 --oracle --format json", 1, "c33d16fbd1fb0eb28ddb0ad5690337f58998b47ee572a8827bfebce24966680b"),
+    ("verify-srg --p 2 --f 4 --n 15 --classes 0,1 --oracle --format tsv", 1, "6f97a9b8e536a7c353fb88c6309c51539f54bae981006f3aabde4cd9a2d1f2d0"),
+    ("verify-srg --p 2 --f 4 --n 15 --classes 0,1 --oracle --format pretty", 1, "f3605289f16b8cb2e1d505310bce71fca5571d1ff32d6afce27f5c77b9ad2d7d"),
+    ("verify-srg --p 2 --f 4 --n 15 --classes 0 --format json", 0, "f49d1d1abc96dafda93df0078f38cd40be8f6ffae63ba1e6abb2ae3ea45e7c5b"),
+    ("verify-srg --p 2 --f 4 --n 15 --classes 0 --format tsv", 0, "2835a576e9c1b8ffedaab2d0dc3cabd974360b082bb1f0de29ba36b04da48023"),
+    ("verify-srg --p 2 --f 4 --n 15 --classes 0 --format pretty", 0, "2545a2f03eb218a9287e484fa7b02a4ca2a84ec2acf82c3ead7f40a6ceaf1072"),
+    ("verify-srg --p 2 --f 4 --n 15 --classes 0 --oracle --format json", 0, "188e10d8be9b1a32868e8a66c4dc6730bfbf593fa373f6b211c9f0c1b190d2c3"),
+    ("verify-srg --p 2 --f 4 --n 15 --classes 0 --oracle --format tsv", 0, "2519ffa881ba84e7f4a792ecbf6f461d1a99b2d0ef732bf9a261148cd00f664f"),
+    ("verify-srg --p 2 --f 4 --n 15 --classes 0 --oracle --format pretty", 0, "60dc2a33faef36a8f3fc449615c4c49bb5625ce5a63b9c78f383738eb21940c6"),
+    ("verify-srg --p 13 --f 1 --n 2 --classes 0 --format json", 0, "6e2339398fb1b520eab244120162af5f6652c557a277be5e080855c25c8c7ec9"),
+    ("verify-srg --p 13 --f 1 --n 2 --classes 0 --format tsv", 0, "141d4034a9baa987a304e6dc6bcc3f17f5796e33d41684eb65b426f57d217bb4"),
+    ("verify-srg --p 13 --f 1 --n 2 --classes 0 --format pretty", 0, "98fd26c379213b5d8d542422edf53c4cd9e47c834af35595a12169d62c1cddde"),
+    ("verify-srg --p 13 --f 1 --n 2 --classes 0 --oracle --format json", 0, "ab9d1099f06b1f5bf805a71d2f90f3c3b6fbfeaa2c91fe2f30f432ebc73fcc87"),
+    ("verify-srg --p 13 --f 1 --n 2 --classes 0 --oracle --format tsv", 0, "8f0057b49142cbfed93351b5080cecafc230166b154da6acdf8ea26179472965"),
+    ("verify-srg --p 13 --f 1 --n 2 --classes 0 --oracle --format pretty", 0, "2280bae268a33845c8023a0ceec62ecf02c761e0dd4fa741fb257788ccf6992f"),
+    ("verify-example --name delange --format json", 0, "aefdafc57db2c6216d45981f9085f0a0d5c3887ab3d220d228509a90e4c819ab"),
+    ("verify-example --name delange --format tsv", 0, "cbb13831b266cff027ee5336d09ede9b6dd1178d00de01e20afe63509207817f"),
+    ("verify-example --name delange --format pretty", 0, "b4a7abdd76cdab90762dbc44659478371c8dbc0599bbc9291d7739929a1b5d83"),
+    ("verify-example --name ex51_m1 --format json", 0, "46ac22ad1eb6a89c9e56b6476cfef42f14ac09e083ae1472034272030e9c11d4"),
+    ("verify-example --name ex51_m1 --format tsv", 0, "6cdbcfdbded6461cb2d670971cdc74dd5fde7e1538b700639e998a5dcef4df04"),
+    ("verify-example --name ex51_m1 --format pretty", 0, "17be1d3f51ecb7d3ec1864f18b7e1abe698ec9068e2b76ed1fcebbe7a23160fa"),
+    ("verify-example --name nosuch --format json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify-example --name nosuch --format tsv", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify-example --name nosuch --format pretty", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gauss-semiprimitive --p 2 --n 5 --f 8 --format json", 0, "234fc3a5034f41f68ea6ba82f9064771e7e29f8e911bb7717a131f35ee2b0783"),
+    ("gauss-semiprimitive --p 2 --n 5 --f 8 --format tsv", 0, "ce61d36f9812aa9d6630b0a074934cf103038a766a7f26f9e2e79c05b27f7e63"),
+    ("gauss-semiprimitive --p 2 --n 5 --f 8 --format pretty", 0, "032cbe188ab412adf3c76f2960557ce30b283caea4cbb1e7813b9f06fe1698a3"),
+    ("gauss-index2 --p 2 --p1 7 --m 2 --format json", 0, "0d90b0d5eccf38f09938c93fdacbf07be228e9d33e45fb90ef827803f61a07ea"),
+    ("gauss-index2 --p 2 --p1 7 --m 2 --format tsv", 0, "fc4feca37cc3a9f760202e6079370e92deb0fcd5f733c3780e2068cdeb57dd68"),
+    ("gauss-index2 --p 2 --p1 7 --m 2 --format pretty", 0, "e857651a06f6cab66a6f37758956af8200194c420fda3efd3b976945d477fc1a"),
+    ("gauss-index2 --p 2 --p1 3 --p2 5 --m 2 --format json", 0, "62c43143e4e865511f76fc566507fdde65657d760961b2a82026f0483b29871a"),
+    ("gauss-index2 --p 2 --p1 3 --p2 5 --m 2 --format tsv", 0, "738e7c22cb0041a64870846e7a62c0fe990a4dd3389e704e5413f18bd1d994ad"),
+    ("gauss-index2 --p 2 --p1 3 --p2 5 --m 2 --format pretty", 0, "0f91246b68221cd0fdd60770665fd5c2e798d97aa35ef716a56530ee37263805"),
+    ("class-number --d 107 --format json", 0, "cb3b30f0120fbc8783f279f4d110697c892a865e4f61893ec91392214414e4b7"),
+    ("class-number --d 107 --format tsv", 0, "0646028233d6271addb660de01d556af02e80965f9b6850a723a255db47433d7"),
+    ("class-number --d 107 --format pretty", 0, "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2"),
+    ("scan-pairs --p-max 10 --p1-max 110 --format json", 0, "274caab04beef0e2258be536b1a7c92cf26daf9e28e460aa047fbfebd6ebf678"),
+    ("scan-pairs --p-max 10 --p1-max 110 --format tsv", 0, "40bfb6c65657d2419a95867b599fcea74d91fd20cad0744a59f1357d3b1b7b51"),
+    ("scan-pairs --p-max 10 --p1-max 110 --format pretty", 0, "8fff42893280a8548b5183b490a8f923989f8bed7d8260cb79e86a5eaf1e45b0"),
+    ("scan-triples --p-max 3 --n-max 40 --format json", 0, "c4233540bda900b97b1d3c65d643ab656af56960f84cf9d71e16c053327f9f0b"),
+    ("scan-triples --p-max 3 --n-max 40 --format tsv", 0, "964b57103013bf1556f9e5ce7b5d392b46b2cbfce648f10d0136bbf5db8e1b34"),
+    ("scan-triples --p-max 3 --n-max 40 --format pretty", 0, "8860328db95183091a53df3b11a7edbfb717de368d7dcc670a274cbb6a6ef728"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", _GOLDEN, ids=[argv for argv, _, _ in _GOLDEN])
+def test_golden_stdout(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv.split())
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 def test_internal_errors_exit_3(capsys, monkeypatch):
     import cyclosrg.gauss_theory
     import cyclosrg.srg_engine
@@ -237,6 +323,11 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
         ("gauss-index2", "--p", "1208925819614629174706261", "--p1", "18119", "--m", "1"),
         ("gauss-semiprimitive", "--p", "3", "--n", "4", "--f", "800000"),
         ("gauss-semiprimitive", "--p", "2", "--n", "3", "--f", str(10**15)),
+        # the field size cap is checked on f before p^f is formed
+        ("build-field", "--p", "3", "--f", "10000000"),
+        ("build-field", "--p", "2", "--f", str(10**30)),
+        ("periods", "--p", "3", "--f", str(10**30), "--n", "2"),
+        ("verify-srg", "--p", "2", "--f", str(10**30), "--n", "3", "--classes", "0", "--oracle"),
     ],
 )
 def test_oversized_inputs_rejected_before_work(capsys, argv):
@@ -297,7 +388,15 @@ _GOOD = {
     "--p-max": st.integers(0, 12),
     "--p1-max": st.integers(0, 120),
     "--n-max": st.integers(0, 60),
+    "--modulus": st.lists(st.integers(-1, 4), min_size=1, max_size=6).map(lambda cs: ",".join(map(str, cs))),
+    "--classes": st.lists(st.integers(-2, 70), min_size=1, max_size=4).map(lambda cs: ",".join(map(str, cs))),
+    "--name": st.sampled_from(["delange", "ex51_m1", "ikuta", "DELANGE", ""]),
 }
+# the field commands draw --p and --f together, so that admitted fields keep q <= 2^16
+_FIELD_COMMANDS = ("build-field", "periods", "verify-srg")
+_FIELDS = st.sampled_from(
+    [(p, f) for p in (2, 3, 5, 7, 13, 31, 257, 4093, 4, 1, 0, -2) for f in range(17) if abs(p) ** f <= 1 << 16]
+)
 _OVERSIZED = st.sampled_from(
     [
         INDEX2_EXPONENT_CAP + 1,
@@ -311,12 +410,17 @@ _OVERSIZED = st.sampled_from(
 )
 _MALFORMED = st.sampled_from(["", "x", "1.5", "0x10", "1e3", "--", "7,7"])
 _COMMANDS = {
+    "build-field": ("--p", "--f", "--modulus"),
+    "periods": ("--p", "--f", "--n"),
+    "verify-srg": ("--p", "--f", "--n", "--classes"),
+    "verify-example": ("--name",),
     "gauss-index2": ("--p", "--p1", "--p2", "--m"),
     "gauss-semiprimitive": ("--p", "--n", "--f"),
     "class-number": ("--d",),
     "scan-pairs": ("--p-max", "--p1-max"),
     "scan-triples": ("--p-max", "--n-max"),
 }
+_SWITCHES = {"build-field": "--dump-tables", "periods": "--tally", "verify-srg": "--oracle"}
 
 
 # valid argv from the README, the tests and the benchmark pools
@@ -332,23 +436,33 @@ _VALID = [
     ("class-number", "--d", 107),
     ("scan-pairs", "--p-max", 10, "--p1-max", 110),
     ("scan-triples", "--p-max", 3, "--n-max", 40),
+    ("verify-example", "--name", "delange"),
+    ("build-field", "--p", 2, "--f", 4, "--modulus", "1,1,0,0,1"),
+    ("periods", "--p", 3, "--f", 2, "--n", 4),
+    ("verify-srg", "--p", 2, "--f", 4, "--n", 3, "--classes", 0),
+    ("verify-srg", "--p", 13, "--f", 1, "--n", 2, "--classes", 0),
+    ("verify-srg", "--p", 2, "--f", 12, "--n", 45, "--classes", "0,5,10"),
 ]
 
 
 @st.composite
 def _random_argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
+    good = _GOOD
+    if command in _FIELD_COMMANDS:
+        p, f = draw(_FIELDS)
+        good = {**_GOOD, "--p": st.just(p), "--f": st.just(f)}
     argv = [command]
     for flag in _COMMANDS[command]:
         kind = draw(st.integers(0, 19))
-        if kind == 0 or (flag == "--p2" and kind < 10):
+        if kind == 0 or (flag in ("--p2", "--modulus") and kind < 10):
             continue  # a missing option, required or not
         if kind == 1:
             value = draw(_MALFORMED)
         elif kind in (2, 3):
             value = str(draw(_OVERSIZED))
         else:
-            value = str(draw(_GOOD[flag]))
+            value = str(draw(good[flag]))
         argv += [flag, value]
     return argv
 
@@ -358,7 +472,10 @@ def _mutated_argv(draw):
     """A valid argv with at most one value replaced."""
     argv = [str(x) for x in draw(st.sampled_from(_VALID))]
     i = 2 + 2 * draw(st.integers(0, len(argv) // 2 - 1))
-    new = draw(st.one_of(st.none(), _GOOD[argv[i - 1]].map(str), _OVERSIZED.map(str), _MALFORMED))
+    good = _GOOD[argv[i - 1]]
+    if argv[0] in _FIELD_COMMANDS and argv[i - 1] in ("--p", "--f"):
+        good = st.nothing()  # a new p or f alone could admit a field above q = 2^16
+    new = draw(st.one_of(st.none(), good.map(str), _OVERSIZED.map(str), _MALFORMED))
     if new is not None:
         argv[i] = new
     return argv
@@ -367,6 +484,8 @@ def _mutated_argv(draw):
 @st.composite
 def _argvs(draw):
     argv = draw(st.one_of(_random_argv(), _mutated_argv()))
+    if argv[0] in _SWITCHES and draw(st.booleans()):
+        argv.append(_SWITCHES[argv[0]])
     return argv + ["--format", draw(st.sampled_from(["json", "tsv", "pretty"] * 6 + ["xml"]))]
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,23 @@ def test_predicted_two_primes_values():
     named = dict(sp.values)
     assert named["c_one"] == named["c_two"] == -125
     assert named["c_three"] == 118
+
+
+@pytest.mark.parametrize(
+    "predict, args",
+    [
+        # every other cap admits this one: f = 499982500153, so 2^f is about 62 GB
+        (predicted_spectrum_prime_power, (2, 999983, 2)),
+        (predicted_spectrum_two_primes, (2, 3, 5, 64)),
+    ],
+)
+def test_predictions_capped_before_powers(predict, args):
+    # the largest family hit inside the scan caps, (5, 499) at m = 2, still
+    # passes: test_family_search.test_scan_pairs_table finds all six hits
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        predict(*args)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_predicted_two_primes_delange_certificate():

@@ -43,11 +43,11 @@ from .finite_field import FieldTable
 from .ntheory import euler_phi, factorize, is_prime, is_squarefree
 
 _NUMERIC_CAP = 1 << 16
-# form counting takes time linear in d: about 0.2 s at the cap
+# form counting takes time linear in d: about 0.08 s at the cap
 CLASS_NUMBER_CAP = 10**6
-# index-2 sums factor p1^m by trial division and find the order of p by
-# powers modulo p1^m, so m is capped; the slowest input inside the caps,
-# gauss-index2 --p 2 --p1 999983 --m 64, took 0.8 s on a 2-vCPU VM
+# index-2 sums find the order of p by up to m powers modulo p1^m, so m is
+# capped; gauss-index2 --p 2 --p1 999983 --m 64, the largest p1^m inside the
+# caps, took 0.05 s in-process on a 2-vCPU VM
 INDEX2_EXPONENT_CAP = 64
 # Cornacchia's Euclid step costs time quadratic in the size of 4 p^h, so p^h
 # is capped at 2^14 bits, counted as h times the bit length of p; the slowest
@@ -145,12 +145,13 @@ def mult_order(a: int, n: int) -> int:
         raise ValueError(f"modulus must be >= 2, got {n}")
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} and {n} are not coprime")
-    return _reduce_order(a, n, euler_phi(n))
+    phi = euler_phi(n)
+    return _reduce_order(a, n, phi, factorize(phi))
 
 
-def _reduce_order(a: int, n: int, order: int) -> int:
-    """The order of a modulo n, given a multiple of it."""
-    for prime in factorize(order):
+def _reduce_order(a: int, n: int, order: int, primes) -> int:
+    """The order of a modulo n, given a multiple of it and that multiple's prime divisors."""
+    for prime in primes:
         while order % prime == 0 and pow(a, order // prime, n) == 1:
             order //= prime
     return order
@@ -158,24 +159,32 @@ def _reduce_order(a: int, n: int, order: int) -> int:
 
 def classify_index2(p: int, N: int) -> Index2Case:
     """Decide whether <p> has index 2 in (Z/NZ)* without containing -1."""
+    return _classify_index2(p, N, None)
+
+
+def _classify_index2(p: int, N: int, fac: dict[int, int] | None) -> Index2Case:
+    """classify_index2 given N's factors {l: e}, or None to factor N by trial division.
+
+    The order modulo each l^e comes from the factors of l - 1 and l; modulo N it is their lcm.
+    """
     if N <= 1 or N % 2 == 0:
         raise ValueError(f"N must be an odd integer >= 3, got {N}")
     if math.gcd(p, N) != 1:
         raise ValueError(f"p = {p} and N = {N} are not coprime")
-    order = mult_order(p, N)
-    phi = euler_phi(N)
+    fac = sorted((fac or factorize(N)).items())
+    phis = [(l - 1) * l ** (e - 1) for l, e in fac]
+    orders = [_reduce_order(p, l**e, phi, [*factorize(l - 1), l]) for (l, e), phi in zip(fac, phis)]
+    order = math.lcm(*orders)
     minus_one_in = order % 2 == 0 and pow(p, order // 2, N) == N - 1
-    if 2 * order != phi or minus_one_in:
+    if 2 * order != math.prod(phis) or minus_one_in:
         return Index2Case(Index2Kind.NOT_INDEX2, order)
-    fac = sorted(factorize(N).items())
     if len(fac) == 1:
         (p1, m), = fac
         return Index2Case(Index2Kind.PRIME_POWER, order, p1=p1, m=m)
     if len(fac) != 2:
         raise AssertionError("index 2 with three or more odd primes is impossible")
     (l1, e1), (l2, e2) = fac
-    full1 = mult_order(p, l1**e1) == euler_phi(l1**e1)
-    full2 = mult_order(p, l2**e2) == euler_phi(l2**e2)
+    full1, full2 = orders[0] == phis[0], orders[1] == phis[1]
     if full1 and full2:
         # the repeated prime plays the structural role; ties break small
         if (-e1, l1) <= (-e2, l2):
@@ -183,8 +192,7 @@ def classify_index2(p: int, N: int) -> Index2Case:
         else:
             p1, m, p2, n = l2, e2, l1, e1
         return Index2Case(Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX, order, p1=p1, m=m, p2=p2, n=n)
-    half1 = 2 * mult_order(p, l1**e1) == euler_phi(l1**e1)
-    half2 = 2 * mult_order(p, l2**e2) == euler_phi(l2**e2)
+    half1, half2 = 2 * orders[0] == phis[0], 2 * orders[1] == phis[1]
     if full1 and half2:
         return Index2Case(Index2Kind.TWO_PRIMES_HALF_ORDER, order, p1=l1, m=e1, p2=l2, n=e2)
     if full2 and half1:
@@ -196,9 +204,8 @@ def classify_index2(p: int, N: int) -> Index2Case:
 def class_number(d: int) -> int:
     """Class number of Q(sqrt(-d)) for squarefree d >= 1, by form counting.
 
-    Counts reduced primitive binary quadratic forms (a, b, c) of discriminant
-    -d (d = 3 mod 4) or -4d (otherwise): b^2 - 4ac = disc, |b| <= a <= c,
-    gcd(a, b, c) = 1, and b >= 0 whenever |b| = a or a = c.
+    Counts the reduced primitive forms (a, b, c), see _reduced_primitive, with
+    b^2 - 4ac = -d (d = 3 mod 4) or -4d (otherwise).
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -208,24 +215,32 @@ def class_number(d: int) -> int:
         raise ValueError(f"d must be squarefree, got {d}")
     disc = -d if d % 4 == 3 else -4 * d
     h = 0
-    a = 1
-    while 3 * a * a <= -disc:
-        for b in range(-a, a + 1):
-            if (b - disc) % 2:
-                continue
+    for a in range(1, math.isqrt(-disc // 3) + 1):
+        for b in range(-a + (a + disc) % 2, a + 1, 2):  # b = disc mod 2
             num = b * b - disc
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (b == -a or a == c):
-                continue
-            if math.gcd(math.gcd(a, abs(b)), c) != 1:
-                continue
-            h += 1
-        a += 1
+            if num % (4 * a) == 0 and _reduced_primitive(a, b, num // (4 * a), math.gcd):
+                h += 1
     return h
+
+
+def _reduced_primitive(a, b, c, gcd=np.gcd):
+    """For |b| <= a: a <= c, b >= 0 if |b| = a or a = c, and gcd(a, b, c) = 1 (elementwise on arrays)."""
+    return (a <= c) & ((b >= 0) | ((b != -a) & (a != c))) & (gcd(gcd(a, b), c) == 1)
+
+
+def reduced_form_counts(n_max: int) -> np.ndarray:
+    """counts[n] = number of reduced primitive forms of discriminant -n, n <= n_max.
+
+    So h(Q(sqrt(-d))) is counts[d] (d = 3 mod 4) or counts[4d], for every
+    squarefree d at once (Cohen, A Course in Computational ANT, 5.3).
+    """
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    for a in range(1, math.isqrt(n_max // 3) + 1):
+        b = np.arange(-a, a + 1)[:, None]
+        c = np.arange(a, (n_max + a * a) // (4 * a) + 1)
+        n = 4 * a * c - b * b
+        counts += np.bincount(n[(n <= n_max) & _reduced_primitive(a, b, c)], minlength=n_max + 1)
+    return counts
 
 
 def semiprimitive_gauss(p: int, N: int, r: int) -> SemiprimitiveGauss:
@@ -248,7 +263,7 @@ def semiprimitive_gauss(p: int, N: int, r: int) -> SemiprimitiveGauss:
         raise ValueError(f"p = {p} and N = {N} are not coprime")
     if pow(p, r, N) != 1:
         raise ValueError(f"r = {r} is not a multiple of the order of {p} modulo {N}")
-    order = _reduce_order(p, N, r)
+    order = _reduce_order(p, N, r, factorize(r))
     if order % 2 or pow(p, order // 2, N) != N - 1:
         raise ValueError(f"no power of {p} is -1 modulo {N}")
     t = order // 2
@@ -368,10 +383,10 @@ def index2_gauss_prime_power(p: int, p1: int, m: int) -> QuadraticGaussValue:
         raise ValueError(f"p1 must be 3 mod 4, got {p1}")
     _check_exponent(m)
     h = class_number(p1)
-    case = classify_index2(p, p1**m)
+    case = _classify_index2(p, p1**m, {p1: m})
     if case.tag is not Index2Kind.PRIME_POWER:
         raise ValueError(f"<{p}> does not have index 2 without -1 modulo {p1}**{m} (got {case.tag.value})")
-    f = euler_phi(p1**m) // 2
+    f = (p1 - 1) * p1 ** (m - 1) // 2
     if (f - h) % 2:
         raise ValueError("f - h is odd, no integral h0 exists")
     h0 = (f - h) // 2
@@ -406,12 +421,11 @@ def index2_gauss_two_primes(p: int, p1: int, p2: int, m: int) -> QuadraticGaussV
     delta = p1 * p2
     h = class_number(delta)
     N = p1**m * p2
-    case = classify_index2(p, N)
+    # the mixed case is full order modulo both p1^m and p2
+    case = _classify_index2(p, N, {p1: m, p2: 1})
     if case.tag is not Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX:
         raise ValueError(f"<{p}> modulo {N} is not the two-prime index-2 case (got {case.tag.value})")
-    if mult_order(p, p1**m) != euler_phi(p1**m) or mult_order(p, p2) != p2 - 1:
-        raise ValueError("p must have full order modulo p1^m and modulo p2")
-    f = euler_phi(N) // 2
+    f = (p1 - 1) * p1 ** (m - 1) * (p2 - 1) // 2
     if (f - h) % 2:
         raise ValueError("f - h is odd, no integral h0 exists")
     h0 = (f - h) // 2

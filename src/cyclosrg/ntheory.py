@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # the first 13 primes as witnesses admit no strong pseudoprime below
 # psi_13 = 3317044064679887385961981 (Sorenson and Webster, 2015); the first
 # 12 only stop at psi_12 = 318665857834031151167461 = 399165290221 * 798330580441
@@ -88,13 +90,17 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def smallest_prime_factors(n: int) -> np.ndarray:
+    """spf[k] = the smallest prime dividing k, for 2 <= k <= n, by sieve (spf[0] = 0, spf[1] = 1)."""
+    spf = np.zeros(max(n, 1) + 1, dtype=np.int32 if n < 2**31 else np.int64)
+    for i in range(2, math.isqrt(max(n, 0)) + 1):
+        if spf[i] == 0:
+            multiples = spf[i * i :: i]
+            multiples[multiples == 0] = i
+    return np.where(spf == 0, np.arange(len(spf), dtype=spf.dtype), spf)
+
+
 def primes_upto(n: int) -> list[int]:
-    """Primes <= n by sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, b in enumerate(sieve) if b]
+    """Primes <= n, read off the smallest-prime-factor sieve."""
+    spf = smallest_prime_factors(n)
+    return (np.flatnonzero(spf[2:] == np.arange(2, len(spf))) + 2).tolist()

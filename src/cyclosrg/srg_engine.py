@@ -33,12 +33,13 @@ from .cyclotomy import ClassMap, CyclotomicInteger
 from .finite_field import FieldTable
 from .gauss_theory import (
     QuadraticGaussValue,
+    _reduce_order,
     class_number,
     index2_gauss_prime_power,
     index2_gauss_two_primes,
-    mult_order,
+    reduced_form_counts,
 )
-from .ntheory import euler_phi, is_prime
+from .ntheory import factorize, is_prime, smallest_prime_factors
 
 PAIR_BUDGET = 1 << 26
 # closed-form predictions form p^f in full: capped at 2^20 bits, counted as f
@@ -340,11 +341,9 @@ def predicted_spectrum_prime_power(p: int, p1: int, m: int) -> PredictedSpectrum
         ("c_plus", Fraction(c * ph0, 2) + base),
         ("c_minus", -Fraction(c * ph0, 2) + base),
     )
-    N = p1**m
-    f = euler_phi(N) // 2
-    v = p**f
+    v = p**gauss.f
     k = (v - 1) // p1
-    return PredictedSpectrum(p, p1, m, None, N, v, k, gauss, values)
+    return PredictedSpectrum(p, p1, m, None, p1**m, v, k, gauss, values)
 
 
 def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> PredictedSpectrum:
@@ -360,7 +359,7 @@ def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> Predicted
         raise ValueError("Gauss sum sign unresolved (odd class number), no prediction possible")
     b, c, h0 = gauss.b, gauss.c_abs, gauss.h0
     N = p1**m * p2
-    f = euler_phi(N) // 2
+    f = gauss.f
     if f % 2:
         raise AssertionError("f is even whenever the mod-4 pattern is {1, 3}")
     sq = p ** (f // 2)
@@ -390,6 +389,36 @@ def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> Predicted
 
 # ---------------------------------------------------------------------------
 # family criteria
+
+
+class ScanTables:
+    """is_prime, factorize and class_number(d) by lookup for n, d <= bound.
+
+    A scan builds one per call and passes it to the family checks: a
+    smallest-prime-factor sieve to bound and the reduced-form counts to
+    4 bound.  Beyond bound, and in ScanTables(), the module functions answer.
+    """
+
+    def __init__(self, bound: int = 0):
+        self.bound = bound
+        if bound:
+            self.spf = smallest_prime_factors(bound).tolist()
+            self.forms = reduced_form_counts(4 * bound).tolist()
+
+    def is_prime(self, n: int) -> bool:
+        return n >= 2 and self.spf[n] == n if n <= self.bound else is_prime(n)
+
+    def factorize(self, n: int) -> dict[int, int]:
+        if n > self.bound:
+            return factorize(n)
+        out: dict[int, int] = {}
+        while n > 1:
+            out[self.spf[n]] = out.get(self.spf[n], 0) + 1
+            n //= self.spf[n]
+        return out
+
+    def class_number(self, d: int) -> int:
+        return self.forms[d if d % 4 == 3 else 4 * d] if d <= self.bound else class_number(d)
 
 
 @dataclass(frozen=True)
@@ -438,7 +467,7 @@ class FamilyCheck:
         return out
 
 
-def pair_family_check(p: int, p1: int) -> FamilyCheck:
+def pair_family_check(p: int, p1: int, *, tables: ScanTables | None = None) -> FamilyCheck:
     """Does (p, p1) generate the prime-power SRG family for every m >= 1?
 
     True iff p, p1 prime, p1 = 3 mod 4, p1 > 3, p has half order modulo p1
@@ -446,21 +475,24 @@ def pair_family_check(p: int, p1: int) -> FamilyCheck:
     h = h(Q(sqrt(-p1))).  Then b, c = +-1 and the spectrum is two-valued
     for every m.
     """
+    nt = tables or ScanTables()
     reasons: list[str] = []
-    if not (is_prime(p) and is_prime(p1)):
+    if not (nt.is_prime(p) and nt.is_prime(p1)):
         return FamilyCheck(p, p1, None, False, (REASON_NOT_PRIME,))
     if p == p1:
         return FamilyCheck(p, p1, None, False, (REASON_NOT_COPRIME,))
+    h = nt.class_number(p1)  # refuses p1 beyond CLASS_NUMBER_CAP before any order is found
     if p1 <= 3:
         reasons.append(REASON_P1_TOO_SMALL)
     if p1 % 4 != 3:
         reasons.append(REASON_MOD4_PATTERN)
     if p1 % 2:
-        if mult_order(p, p1) != (p1 - 1) // 2 or mult_order(p, p1**2) != p1 * (p1 - 1) // 2:
+        # the order modulo p1^2 is the order o modulo p1, or p1 o
+        order = _reduce_order(p, p1, p1 - 1, nt.factorize(p1 - 1))
+        if order != (p1 - 1) // 2 or pow(p, order, p1 * p1) == 1:
             reasons.append(REASON_NOT_INDEX2)
     else:
         reasons.append(REASON_NOT_INDEX2)
-    h = class_number(p1)
     if 1 + p1 != 4 * p**h:
         reasons.append(REASON_DIOPHANTINE_FAIL)
     if reasons:
@@ -481,7 +513,7 @@ def pair_family_check(p: int, p1: int) -> FamilyCheck:
     )
 
 
-def triple_family_check(p: int, p1: int, p2: int) -> FamilyCheck:
+def triple_family_check(p: int, p1: int, p2: int, *, tables: ScanTables | None = None) -> FamilyCheck:
     """Does (p, p1, p2) generate the two-prime SRG family for every m >= 1?
 
     True iff all prime, {p1, p2} = {1, 3} mod 4, p has full order modulo
@@ -489,22 +521,22 @@ def triple_family_check(p: int, p1: int, p2: int) -> FamilyCheck:
     is even, 1 + p1 p2 = 4 p^h, and the primes satisfy
     p1 = 2 p^{h/2} + e b, p2 = 2 p^{h/2} - e b with e = (-1)^{(p1-1)/2}.
     """
+    nt = tables or ScanTables()
     reasons: list[str] = []
-    if not (is_prime(p) and is_prime(p1) and is_prime(p2)):
+    if not (nt.is_prime(p) and nt.is_prime(p1) and nt.is_prime(p2)):
         return FamilyCheck(p, p1, p2, False, (REASON_NOT_PRIME,))
     if p in (p1, p2) or p1 == p2:
         return FamilyCheck(p, p1, p2, False, (REASON_NOT_COPRIME,))
+    h = nt.class_number(p1 * p2)  # refuses p1 p2 beyond CLASS_NUMBER_CAP before any order is found
     if {p1 % 4, p2 % 4} != {1, 3}:
         reasons.append(REASON_MOD4_PATTERN)
-    full_orders = (
-        mult_order(p, p1) == p1 - 1
-        and mult_order(p, p1**2) == p1 * (p1 - 1)
-        and mult_order(p, p2) == p2 - 1
-    )
-    index2_overall = 2 * mult_order(p, p1 * p2) == euler_phi(p1 * p2)
+    # orders modulo p1^2 and p1 p2 follow from o1 = ord mod p1 and o2 = ord mod p2
+    o1 = _reduce_order(p, p1, p1 - 1, nt.factorize(p1 - 1))
+    o2 = _reduce_order(p, p2, p2 - 1, nt.factorize(p2 - 1))
+    full_orders = o1 == p1 - 1 and pow(p, o1, p1 * p1) != 1 and o2 == p2 - 1
+    index2_overall = 2 * math.lcm(o1, o2) == (p1 - 1) * (p2 - 1)
     if not (full_orders and index2_overall):
         reasons.append(REASON_NOT_INDEX2)
-    h = class_number(p1 * p2)
     if h % 2:
         reasons.append(REASON_CLASS_NUMBER_ODD)
         diophantine = False
@@ -532,7 +564,7 @@ def triple_family_check(p: int, p1: int, p2: int) -> FamilyCheck:
     a_r = (b + p1 * p2) // 2
     a_s = (b - p1 * p2) // 2
     return FamilyCheck(
-        p, p1, p2, True, (), h=h, b=b, f1=euler_phi(p1 * p2) // 2,
+        p, p1, p2, True, (), h=h, b=b, f1=(p1 - 1) * (p2 - 1) // 2,
         r1=r1, s1=s1, r2=r2, s2=s2,
         r_formula=f"({a_r}*{p}^h0-1)/{p1 * p2}", s_formula=f"({a_s}*{p}^h0-1)/{p1 * p2}",
     )

@@ -3,20 +3,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclosrg.family_search import (
     NAMED_EXAMPLES,
+    SearchReport,
     scan_pairs,
     scan_triples,
     verify_named_example,
 )
-from cyclosrg.ntheory import euler_phi
+from cyclosrg.ntheory import euler_phi, is_prime
 from cyclosrg.srg_engine import (
     REASON_DIOPHANTINE_FAIL,
     REASON_MOD4_PATTERN,
     REASON_NOT_COPRIME,
     REASON_NOT_INDEX2,
     REASON_P1_TOO_SMALL,
+    pair_family_check,
+    triple_family_check,
 )
 
 PAIR_HITS = ((2, 7), (3, 107), (5, 19), (5, 499), (17, 67), (41, 163))
@@ -123,6 +127,28 @@ def test_scan_monotone_in_bounds():
     t_small = set(scan_triples(3, 105).hit_keys())
     t_large = set(scan_triples(5, 400).hit_keys())
     assert t_small <= t_large
+
+
+def _reference_scan(kind, p_max, other_max):
+    # every candidate of the box through the public checks, with no tables
+    ps = [p for p in range(2, p_max + 1) if is_prime(p)]
+    if kind == "pairs":
+        cands = [(p, p1) for p in ps for p1 in range(2, other_max + 1) if is_prime(p1)]
+        checks = [pair_family_check(*cand) for cand in cands]
+    else:
+        partners = [q for q in range(2, other_max // 2 + 1) if is_prime(q)]
+        cands = [(p, p1, p2) for p in ps for p1 in partners for p2 in partners if p1 != p2 and p1 * p2 <= other_max]
+        checks = [triple_family_check(*cand) for cand in cands]
+    hits = tuple(c for c in checks if c.ok)
+    rejections = tuple((cand, c.reasons) for cand, c in zip(cands, checks) if not c.ok)
+    return SearchReport(kind, (p_max, other_max), hits, rejections)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.integers(2, 200), st.integers(2, 200), st.integers(2, 600))
+def test_scans_match_reference_loop(p_max, p1_max, n_max):
+    assert scan_pairs(p_max, p1_max) == _reference_scan("pairs", p_max, p1_max)
+    assert scan_triples(p_max, n_max) == _reference_scan("triples", p_max, n_max)
 
 
 def test_scan_report_serialization():

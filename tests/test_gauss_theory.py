@@ -9,6 +9,7 @@ from cyclosrg.gauss_theory import (
     INDEX2_EXPONENT_CAP,
     QUADRATIC_FORM_BITS_CAP,
     SEMIPRIMITIVE_BITS_CAP,
+    Index2Case,
     Index2Kind,
     _solve_quadratic_form,
     _sqrt_mod_prime_power,
@@ -18,9 +19,11 @@ from cyclosrg.gauss_theory import (
     index2_gauss_prime_power,
     index2_gauss_two_primes,
     mult_order,
+    reduced_form_counts,
     semiprimitive_gauss,
 )
-from cyclosrg.ntheory import is_squarefree, primes_upto
+from cyclosrg.ntheory import euler_phi, factorize, is_squarefree, primes_upto
+from cyclosrg.srg_engine import ScanTables
 
 from conftest import get_field
 
@@ -105,6 +108,49 @@ def test_classify_index2_subgroup_property():
         assert N - 1 not in subgroup
 
 
+def _reference_classify(p, N):
+    # the classification through mult_order and euler_phi of every component
+    order = mult_order(p, N)
+    if 2 * order != euler_phi(N) or (order % 2 == 0 and pow(p, order // 2, N) == N - 1):
+        return Index2Case(Index2Kind.NOT_INDEX2, order)
+    fac = sorted(factorize(N).items())
+    if len(fac) == 1:
+        return Index2Case(Index2Kind.PRIME_POWER, order, p1=fac[0][0], m=fac[0][1])
+    full = [mult_order(p, l**e) == euler_phi(l**e) for l, e in fac]
+    if all(full):
+        (p1, m), (p2, n) = sorted(fac, key=lambda le: (-le[1], le[0]))
+        return Index2Case(Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX, order, p1=p1, m=m, p2=p2, n=n)
+    (p1, m), (p2, n) = fac if full[0] else fac[::-1]
+    return Index2Case(Index2Kind.TWO_PRIMES_HALF_ORDER, order, p1=p1, m=m, p2=p2, n=n)
+
+
+def test_classify_matches_component_reference():
+    for p in primes_upto(30):
+        for N in range(3, 1500, 2):
+            if math.gcd(p, N) == 1:
+                assert classify_index2(p, N) == _reference_classify(p, N), (p, N)
+
+
+def test_index2_orders_never_factor_the_modulus(monkeypatch):
+    import cyclosrg.gauss_theory as gt
+    import cyclosrg.ntheory as nt
+
+    seen = []
+
+    def recording(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(gt, "factorize", recording)
+    monkeypatch.setattr(nt, "factorize", recording)
+    gauss = index2_gauss_prime_power(2, 999983, 64)
+    assert (gauss.h, gauss.f) == (class_number(999983), 999982 * 999983**63 // 2)
+    assert seen and max(seen) < 999983**2
+    seen.clear()
+    assert index2_gauss_two_primes(2, 3, 5, 64).b == 1
+    assert seen and max(seen) <= 15
+
+
 def test_classify_errors():
     with pytest.raises(ValueError, match="odd"):
         classify_index2(3, 16)
@@ -148,6 +194,16 @@ def test_class_number_independent_recount():
 
     for d in sorted(KNOWN_CLASS_NUMBERS):
         assert class_number(d) == recount(d), d
+
+
+def test_reduced_form_counts_match_class_number():
+    counts = reduced_form_counts(4 * 2000)
+    tables = ScanTables(2000)
+    for d in range(1, 2001):
+        if is_squarefree(d):
+            h = class_number(d)
+            assert counts[d if d % 4 == 3 else 4 * d] == h, d
+            assert tables.class_number(d) == h, d
 
 
 def test_class_number_errors():

@@ -1,8 +1,11 @@
-"""The deterministic Miller-Rabin primality test and its bound."""
+"""The deterministic Miller-Rabin primality test and its bound, and the sieve."""
+
+import math
 
 import pytest
 
-from cyclosrg.ntheory import PRIME_TEST_BOUND, is_prime, primes_upto
+from cyclosrg.ntheory import PRIME_TEST_BOUND, factorize, is_prime, primes_upto, smallest_prime_factors
+from cyclosrg.srg_engine import ScanTables
 
 PSI_12 = 318665857834031151167461  # strong pseudoprime to the first 12 prime bases
 
@@ -27,3 +30,31 @@ def test_is_prime_refuses_beyond_its_bound():
         with pytest.raises(ValueError, match="only decided below"):
             is_prime(n)
 
+
+
+def _reference_primes_upto(n):
+    # the byte-array sieve primes_upto used before it read the factor sieve
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [i for i, b in enumerate(sieve) if b]
+
+
+def test_primes_upto_matches_reference_sieve():
+    for n in [*range(-3, 200), 4095, 4096, 19997, 20000]:
+        assert primes_upto(n) == _reference_primes_upto(n), n
+
+
+def test_smallest_prime_factors_and_sieve_factorization():
+    spf = smallest_prime_factors(20000)
+    assert spf[:2].tolist() == [0, 1]
+    tables = ScanTables(20000)
+    for n in range(1, 20001):
+        fac = factorize(n)
+        assert n < 2 or spf[n] == min(fac), n
+        assert tables.factorize(n) == fac, n
+        assert tables.is_prime(n) == is_prime(n), n

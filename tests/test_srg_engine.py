@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclosrg.cyclotomy import CyclotomicInteger, classify
+from cyclosrg.gauss_theory import mult_order
 from cyclosrg.ntheory import divisors, is_prime
 from cyclosrg.srg_engine import (
     REASON_DIOPHANTINE_FAIL,
@@ -372,3 +373,35 @@ def test_triple_family_witness_values():
     assert (check.r2, check.s2) == (17, -15)
     check = triple_family_check(3, 5, 7)
     assert (check.r1, check.s1) == (118, -125)
+
+
+def test_family_index2_reason_matches_mult_order():
+    # the orders from p1 - 1 and p2 - 1 against mult_order of p1, p1^2, p2 and p1 p2
+    primes = [q for q in range(2, 60) if is_prime(q)]
+    for p in primes[:10]:
+        for p1 in primes:
+            if p1 == p:
+                continue
+            half = p1 % 2 == 1 and mult_order(p, p1) == (p1 - 1) // 2 and mult_order(p, p1**2) == p1 * (p1 - 1) // 2
+            assert (REASON_NOT_INDEX2 in pair_family_check(p, p1).reasons) == (not half), (p, p1)
+            for p2 in primes:
+                if p2 in (p, p1):
+                    continue
+                full = mult_order(p, p1) == p1 - 1 and mult_order(p, p1**2) == p1 * (p1 - 1) and mult_order(p, p2) == p2 - 1
+                index2 = full and 2 * mult_order(p, p1 * p2) == (p1 - 1) * (p2 - 1)
+                assert (REASON_NOT_INDEX2 in triple_family_check(p, p1, p2).reasons) == (not index2), (p, p1, p2)
+
+
+@pytest.mark.parametrize(
+    "check, args, d",
+    [
+        (pair_family_check, (2, 100000007), 100000007),
+        # 2 is a primitive root modulo 100000259, so every order test would run
+        (triple_family_check, (2, 100000259, 5), 500001295),
+    ],
+)
+def test_family_checks_refuse_large_d_before_orders(check, args, d):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^d = {d} exceeds the cap 1000000$"):
+        check(*args)
+    assert time.perf_counter() - start < 0.5

@@ -5,9 +5,9 @@
 # for every m >= 1 provided p1 = 3 mod 4, p1 > 3, p generates an
 # index-2 subgroup modulo p1^2, and 1 + p1 = 4 p^h with h the class
 # number of Q(sqrt(-p1)).  For a triple (p, p1, p2) with N = p1^m p2
-# the analogous conditions involve the class number of Q(sqrt(-p1 p2))
-# and a pair of prime equations.  Both criteria are decidable by pure
-# integer arithmetic, so exhaustive scans are cheap.
+# the analogous conditions involve the class number of Q(sqrt(-p1 p2)).
+# Both criteria are decidable by pure integer arithmetic, so exhaustive
+# scans are cheap.
 
 from cyclosrg import scan_pairs, scan_triples
 

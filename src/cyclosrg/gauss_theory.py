@@ -97,8 +97,8 @@ class SemiprimitiveGauss:
 class QuadraticGaussValue:
     """g(chi) = ((b + c sqrt(-delta)) / 2) * p^{h0}, c determined up to sign.
 
-    b is None when the sign could not be resolved (odd class number in the
-    two-prime case); c_abs is |c|.
+    b is always pinned: by genus theory h is odd for delta = p1 and even for
+    delta = p1 p2, and each parity has its congruence.  c_abs is |c|.
     """
 
     p: int
@@ -106,24 +106,17 @@ class QuadraticGaussValue:
     f: int
     h: int
     h0: int
-    b: int | None
-    c_abs: int | None
+    b: int
+    c_abs: int
 
     def __post_init__(self):
-        if self.b is not None:
-            if self.b**2 + self.delta * self.c_abs**2 != 4 * self.p**self.h:
-                raise ValueError("quadratic certificate fails b^2 + delta c^2 = 4 p^h")
-            if self.b % self.p == 0 or self.c_abs % self.p == 0:
-                raise ValueError("b and c must be prime to p")
-
-    @property
-    def resolved(self) -> bool:
-        return self.b is not None
+        if self.b**2 + self.delta * self.c_abs**2 != 4 * self.p**self.h:
+            raise ValueError("quadratic certificate fails b^2 + delta c^2 = 4 p^h")
+        if self.b % self.p == 0 or self.c_abs % self.p == 0:
+            raise ValueError("b and c must be prime to p")
 
     def conjugate_values(self) -> tuple[complex, complex]:
         """The two numeric candidates (c > 0 and c < 0)."""
-        if not self.resolved:
-            raise ValueError("sign of b is unresolved")
         root = complex(0.0, math.sqrt(self.delta))
         scale = float(self.p**self.h0)
         plus = (self.b + self.c_abs * root) / 2 * scale
@@ -390,26 +383,17 @@ def index2_gauss_prime_power(p: int, p1: int, m: int) -> QuadraticGaussValue:
     if (f - h) % 2:
         raise ValueError("f - h is odd, no integral h0 exists")
     h0 = (f - h) // 2
-    candidates = _solve_quadratic_form(p, p1, h)
     ph0 = pow(p, h0, p1)
-    resolved = [
-        (sb * b, c)
-        for b, c in candidates
-        for sb in (1, -1)
-        if (sb * b * ph0 + 2) % p1 == 0
-    ]
-    if len(resolved) != 1:
-        raise ArithmeticError(f"sign resolution found {len(resolved)} candidates, expected exactly 1")
-    b, c = resolved[0]
-    return QuadraticGaussValue(p=p, delta=p1, f=f, h=h, h0=h0, b=b, c_abs=c)
+    return _pinned_value(p, p1, f, h, h0, lambda b: (b * ph0 + 2) % p1 == 0)
 
 
 def index2_gauss_two_primes(p: int, p1: int, p2: int, m: int) -> QuadraticGaussValue:
     """Exact Gauss sum for chi of order N = p1^m p2 with both components full.
 
     Requires {p1 mod 4, p2 mod 4} = {1, 3}, ord of p maximal modulo p1^m and
-    modulo p2, and overall index 2.  With h = h(Q(sqrt(-p1 p2))) even, b is
-    pinned by b = 2 p^{h/2} modulo whichever of p1, p2 is 3 mod 4.
+    modulo p2, and overall index 2.  h = h(Q(sqrt(-p1 p2))) is even by genus
+    theory (two primes divide the discriminant), and b is pinned by
+    b = 2 p^{h/2} modulo whichever of p1, p2 is 3 mod 4.
     """
     if not (is_prime(p) and is_prime(p1) and is_prime(p2)):
         raise ValueError("p, p1, p2 must all be prime")
@@ -426,24 +410,21 @@ def index2_gauss_two_primes(p: int, p1: int, p2: int, m: int) -> QuadraticGaussV
     if case.tag is not Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX:
         raise ValueError(f"<{p}> modulo {N} is not the two-prime index-2 case (got {case.tag.value})")
     f = (p1 - 1) * p1 ** (m - 1) * (p2 - 1) // 2
+    # 8 divides (p1 - 1)(p2 - 1), so 4 divides f and this also refuses an odd h
     if (f - h) % 2:
         raise ValueError("f - h is odd, no integral h0 exists")
     h0 = (f - h) // 2
-    if h % 2:
-        # sign of b is not pinned by the congruence when h is odd
-        return QuadraticGaussValue(p=p, delta=delta, f=f, h=h, h0=h0, b=None, c_abs=None)
-    candidates = _solve_quadratic_form(p, delta, h)
     ell = p1 if p1 % 4 == 3 else p2
     want = 2 * pow(p, h // 2, ell) % ell
-    resolved = [
-        (sb * b, c)
-        for b, c in candidates
-        for sb in (1, -1)
-        if (sb * b - want) % ell == 0
-    ]
-    if len(resolved) != 1:
-        raise ArithmeticError(f"sign resolution found {len(resolved)} candidates, expected exactly 1")
-    b, c = resolved[0]
+    return _pinned_value(p, delta, f, h, h0, lambda b: (b - want) % ell == 0)
+
+
+def _pinned_value(p: int, delta: int, f: int, h: int, h0: int, pins) -> QuadraticGaussValue:
+    """The Gauss value whose signed b, over the solutions (|b|, |c|) for p^h, is the one pins accepts."""
+    pinned = [(sb * b, c) for b, c in _solve_quadratic_form(p, delta, h) for sb in (1, -1) if pins(sb * b)]
+    if len(pinned) != 1:
+        raise ArithmeticError(f"sign resolution found {len(pinned)} candidates, expected exactly 1")
+    b, c = pinned[0]
     return QuadraticGaussValue(p=p, delta=delta, f=f, h=h, h0=h0, b=b, c_abs=c)
 
 

@@ -54,8 +54,6 @@ REASON_P1_TOO_SMALL = "P1_TOO_SMALL"
 REASON_MOD4_PATTERN = "MOD4_PATTERN"
 REASON_NOT_INDEX2 = "NOT_INDEX2"
 REASON_DIOPHANTINE_FAIL = "DIOPHANTINE_FAIL"
-REASON_CLASS_NUMBER_ODD = "CLASS_NUMBER_ODD"
-REASON_PRIME_EQUATIONS_FAIL = "PRIME_EQUATIONS_FAIL"
 
 
 @dataclass(frozen=True)
@@ -355,8 +353,6 @@ def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> Predicted
     gauss = index2_gauss_two_primes(p, p1, p2, m)
     if gauss.f * p.bit_length() > PREDICTION_BITS_CAP:
         raise ValueError(f"p^f = {p}^{gauss.f} exceeds the cap of {PREDICTION_BITS_CAP} bits")
-    if not gauss.resolved:
-        raise ValueError("Gauss sum sign unresolved (odd class number), no prediction possible")
     b, c, h0 = gauss.b, gauss.c_abs, gauss.h0
     N = p1**m * p2
     f = gauss.f
@@ -517,9 +513,10 @@ def triple_family_check(p: int, p1: int, p2: int, *, tables: ScanTables | None =
     """Does (p, p1, p2) generate the two-prime SRG family for every m >= 1?
 
     True iff all prime, {p1, p2} = {1, 3} mod 4, p has full order modulo
-    p1, p1^2 and p2 with overall index 2 modulo p1 p2, h = h(Q(sqrt(-p1 p2)))
-    is even, 1 + p1 p2 = 4 p^h, and the primes satisfy
-    p1 = 2 p^{h/2} + e b, p2 = 2 p^{h/2} - e b with e = (-1)^{(p1-1)/2}.
+    p1, p1^2 and p2 with overall index 2 modulo p1 p2, and 1 + p1 p2 = 4 p^h
+    with h = h(Q(sqrt(-p1 p2))), which genus theory makes even.  Then
+    p1 p2 = (R - 1)(R + 1) with R = 2 p^{h/2} >= 4 forces {p1, p2} = {R - 1, R + 1},
+    so b = e (p1 - R) = +-1 with e = (-1)^{(p1-1)/2}.
     """
     nt = tables or ScanTables()
     reasons: list[str] = []
@@ -528,6 +525,8 @@ def triple_family_check(p: int, p1: int, p2: int, *, tables: ScanTables | None =
     if p in (p1, p2) or p1 == p2:
         return FamilyCheck(p, p1, p2, False, (REASON_NOT_COPRIME,))
     h = nt.class_number(p1 * p2)  # refuses p1 p2 beyond CLASS_NUMBER_CAP before any order is found
+    if h % 2:
+        raise AssertionError(f"h(Q(sqrt(-{p1 * p2}))) = {h} is odd, against genus theory")
     if {p1 % 4, p2 % 4} != {1, 3}:
         reasons.append(REASON_MOD4_PATTERN)
     # orders modulo p1^2 and p1 p2 follow from o1 = ord mod p1 and o2 = ord mod p2
@@ -537,28 +536,15 @@ def triple_family_check(p: int, p1: int, p2: int, *, tables: ScanTables | None =
     index2_overall = 2 * math.lcm(o1, o2) == (p1 - 1) * (p2 - 1)
     if not (full_orders and index2_overall):
         reasons.append(REASON_NOT_INDEX2)
-    if h % 2:
-        reasons.append(REASON_CLASS_NUMBER_ODD)
-        diophantine = False
-    else:
-        diophantine = 1 + p1 * p2 == 4 * p**h
-    if not diophantine:
+    if 1 + p1 * p2 != 4 * p**h:
         reasons.append(REASON_DIOPHANTINE_FAIL)
-    if diophantine:
-        e = -1 if p1 % 4 == 3 else 1
-        root = 2 * p ** (h // 2)
-        b = 1 if p1 == root + e else (-1 if p1 == root - e else None)
-        if b is None or p2 != root - e * b:
-            reasons.append(REASON_PRIME_EQUATIONS_FAIL)
-            b = None
-    else:
-        b = None
     if reasons:
         return FamilyCheck(p, p1, p2, False, tuple(reasons), h=h)
+    b = (-1 if p1 % 4 == 3 else 1) * (p1 - 2 * p ** (h // 2))
     sp1 = predicted_spectrum_two_primes(p, p1, p2, 1)
     sp2 = predicted_spectrum_two_primes(p, p1, p2, 2)
     if sp1.gauss.b != b or sp2.gauss.b != b:
-        raise AssertionError("prime equations disagree with congruence resolution")
+        raise AssertionError("b = e (p1 - R) disagrees with congruence resolution")
     r1, s1 = max(sp1.integer_values()), min(sp1.integer_values())
     r2, s2 = max(sp2.integer_values()), min(sp2.integer_values())
     a_r = (b + p1 * p2) // 2

@@ -153,6 +153,16 @@ def test_domain_errors():
     assert SIZE_CAP == 1 << 22
 
 
+@pytest.mark.parametrize("p, f", [(2, 3), (3, 2)])
+def test_scalar_arithmetic_refuses_out_of_range_encodings(p, f):
+    fld = get_field(p, f)
+    for bad in (-1, fld.q, 100):
+        for op, args in ((fld.add, (5, bad)), (fld.add, (bad, 3)), (fld.sub, (5, bad)), (fld.neg, (bad,))):
+            with pytest.raises(ValueError, match="element out of range"):
+                op(*args)
+    assert fld.sub(5, 5) == 0 and fld.add(fld.neg(5), 5) == 0
+
+
 def test_tables_are_read_only():
     fld = get_field(2, 3)
     with pytest.raises(ValueError):

@@ -206,6 +206,25 @@ def test_reduced_form_counts_match_class_number():
             assert tables.class_number(d) == h, d
 
 
+def test_class_number_parity_follows_genus_theory():
+    # two primes divide the discriminant of Q(sqrt(-p1 p2)), so h is even; one divides that of
+    # Q(sqrt(-p1)) for p1 = 3 mod 4, so h is odd: the two-prime Gauss value's b is always pinned
+    bound = 5 * 10**4
+    counts = reduced_form_counts(4 * bound)
+
+    def h(d):
+        return counts[d if d % 4 == 3 else 4 * d]
+
+    primes = primes_upto(bound)
+    for i, p1 in enumerate(primes):
+        if p1 > 3 and p1 % 4 == 3:
+            assert h(p1) % 2 == 1, p1
+        for p2 in primes[i + 1:]:
+            if p1 * p2 > bound:
+                break
+            assert h(p1 * p2) % 2 == 0, (p1, p2)
+
+
 def test_class_number_errors():
     with pytest.raises(ValueError, match="squarefree"):
         class_number(12)

@@ -1,5 +1,6 @@
 """Spectrum certification, the difference-count oracle, and predictions."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from cyclosrg.srg_engine import (
     REASON_MOD4_PATTERN,
     REASON_NOT_INDEX2,
     REASON_NOT_PRIME,
+    ScanTables,
     _difference_counts,
     difference_count_oracle,
     pair_family_check,
@@ -167,6 +169,18 @@ def test_oracle_count_guard_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("optimize=1 raised: difference counts"), proc.stdout
+
+
+def test_src_has_no_assert_statements():
+    # correctness guards must be raises: python -O strips every assert
+    src = Path(__file__).resolve().parents[1] / "src" / "cyclosrg"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def _reference_difference_counts(fld, elems):
@@ -373,6 +387,16 @@ def test_triple_family_witness_values():
     assert (check.r2, check.s2) == (17, -15)
     check = triple_family_check(3, 5, 7)
     assert (check.r1, check.s1) == (118, -125)
+
+
+def test_triple_family_refuses_odd_class_number():
+    # genus theory makes h(Q(sqrt(-p1 p2))) even; a table that says otherwise is an internal fault
+    class OddClassNumber(ScanTables):
+        def class_number(self, d):
+            return 3
+
+    with pytest.raises(AssertionError, match="is odd, against genus theory"):
+        triple_family_check(2, 3, 5, tables=OddClassNumber())
 
 
 def test_family_index2_reason_matches_mult_order():

@@ -1,11 +1,12 @@
 # The two routes to strong regularity agree, including on Paley graphs.
 #
 # Route one computes exact character sums and reads the spectrum.
-# Route two never touches a character: it counts, for every d, the
-# number of pairs (x, y) in D x D with x - y = d, and checks the count
-# is constant on D and constant off D.  The two routes share no code
-# beyond the field tables, which is what makes their agreement a real
-# check rather than a tautology.
+# Route two never touches a character: it counts, for one d in each
+# class, the number of pairs (x, y) in D x D with x - y = d (the count is
+# constant on each class), and checks the count is constant on D and
+# constant off D.  The two routes share no code beyond the field
+# tables, which is what makes their agreement a real check rather than
+# a tautology.
 
 import random
 

@@ -262,7 +262,7 @@ class FieldTable:
         return int(self.trace[self._element(x)])
 
     def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
+        if 0 in (self._element(x), self._element(y)):
             return 0
         return int(self.antilog[(self.dlog(x) + self.dlog(y)) % (self.q - 1)])
 

@@ -437,6 +437,8 @@ def gauss_sum_numeric(field: FieldTable, N: int, j: int) -> GaussSumNumeric:
     q = field.q
     if q > _NUMERIC_CAP:
         raise ValueError(f"numeric Gauss sums are limited to q <= {_NUMERIC_CAP}")
+    if N < 1:
+        raise ValueError(f"N = {N} must be at least 1")
     if (q - 1) % N:
         raise ValueError(f"N = {N} does not divide q - 1 = {q - 1}")
     if not 0 <= j < N:

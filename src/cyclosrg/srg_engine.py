@@ -188,69 +188,65 @@ def srg_from_spectrum(v: int, k: int, values, source: str = "SPECTRUM") -> SrgCe
     return SrgCertificate(v, k, lam, mu, r, s, mult_r, mult_s, source, mu == 0, False)
 
 
-def _difference_counts(field: FieldTable, elems: np.ndarray) -> np.ndarray:
-    """counts[d] = #{(x, y) in elems^2 : x - y = d} for every encoding d.
+def _difference_counts(field: FieldTable, N: int, D: list[int]) -> tuple[np.ndarray, int]:
+    """Difference counts of the union D of classes of order N, per class.
 
+    Returns counts[j] = #{(x, y) in D^2 : x - y = gamma^j} and the number of
+    pairs with x = y.  gamma^N D = D makes the count constant on each class,
+    so x takes one element gamma^i of each class i in D and y all of D.
     Counts in the log domain with Zech logarithms Z(n) = log(1 - gamma^n):
-    for x = gamma^a and y = gamma^b, x - y = gamma^(a + Z(b - a)).  The
-    table comes from one sub_vec over the antilog table; Z(0) = log(0) = -1
-    is replaced by 2(q-1), so the pairs with x = y land in bins of their own.
+    x - y = gamma^(i + Z(b - i)) for y = gamma^b, in class (i + Z(b - i))
+    mod N.  The table comes from one sub_vec over the antilog table and is
+    reduced mod N once; Z(0) = log(0) = -1 is replaced by 2N, so the pairs
+    with x = y land in bins of their own.
     """
     n = field.q - 1
     zech = field.log[field.sub_vec(1, field.antilog)]
-    zech[zech < 0] = 2 * n
-    # indexed by b - a + n in [1, 2n), so no reduction mod n per pair
+    zech = np.where(zech < 0, 2 * N, zech % N)
+    # indexed by b - i + n in [1, 2n), so no reduction mod n per pair
     zech2 = np.concatenate((zech, zech))
-    logs = field.log[elems]
-    cols = logs + n
-    k = logs.size
-    bins = np.zeros(3 * n, dtype=np.int64)
+    reps = np.array(D, dtype=np.int64)
+    cols = (np.arange(0, n, N, dtype=np.int64)[:, None] + reps).ravel() + n
+    bins = np.zeros(3 * N, dtype=np.int64)
     # blocks of about 2^18 pairs keep each temporary at 2 MB
-    chunk = max(1, (1 << 18) // k)
-    for i in range(0, k, chunk):
-        rows = logs[i : i + chunk, None]
+    chunk = max(1, (1 << 18) // cols.size)
+    for i in range(0, reps.size, chunk):
+        rows = reps[i : i + chunk, None]
         idx = zech2[cols - rows]
         idx += rows
-        bins += np.bincount(idx.ravel(), minlength=3 * n)
-    counts = np.empty(field.q, dtype=np.int64)
-    counts[0] = bins[2 * n :].sum()
-    counts[field.antilog] = bins[:n] + bins[n : 2 * n]
-    return counts
+        bins += np.bincount(idx.ravel(), minlength=3 * N)
+    return bins[:N] + bins[N : 2 * N], int(bins[2 * N :].sum())
 
 
 def difference_count_oracle(cm: ClassMap, D) -> SrgCertificate | None:
     """Brute-force SRG check of Cay(F_q, D) by counting difference pairs.
 
-    Counts r(d) = #{(x, y) in D^2 : x - y = d} for every d; the graph is
-    strongly regular iff r is constant on D (lambda) and constant off
-    D u {0} (mu).  The differences are counted through Zech logarithms
+    Counts r(d) = #{(x, y) in D^2 : x - y = d} for one d in each class; the
+    graph is strongly regular iff r is constant on D (lambda) and constant
+    off D u {0} (mu).  The differences are counted through Zech logarithms
     (see _difference_counts), still with field arithmetic only, no
     characters.
     """
-    field = cm.field
-    q = field.q
-    if not cm.is_symmetric(D):
+    q = cm.field.q
+    d = sorted(set(int(i) for i in D))
+    if not cm.is_symmetric(d):
         raise ValueError("connection set is not symmetric (-D != D); the graph would be directed")
-    elems = cm.connection_set_elements(D)
-    k = int(elems.size)
-    if k * k > PAIR_BUDGET:
-        raise ValueError(f"difference pair budget exceeded: k^2 = {k * k} > {PAIR_BUDGET}")
+    k = len(d) * cm.class_size
+    if k * len(d) > PAIR_BUDGET:
+        raise ValueError(f"difference pair budget exceeded: k|D| = {k * len(d)} > {PAIR_BUDGET}")
     if k == q - 1:
         return None  # complete graph
-    counts = _difference_counts(field, elems)
-    if counts[0] != k or int(counts.sum()) != k * k:
-        raise AssertionError("difference counts do not total k at 0 and k^2 in all")
-    lam_vals = counts[elems]
-    off_mask = np.ones(q, dtype=bool)
-    off_mask[elems] = False
-    off_mask[0] = False
-    mu_vals = counts[off_mask]
+    counts, same = _difference_counts(cm.field, cm.N, d)
+    if same != len(d) or int(counts.sum()) + same != k * len(d):
+        raise AssertionError("difference counts do not total |D| at 0 and k|D| in all")
+    lam_vals, mu_vals = counts[d], np.delete(counts, d)
     if lam_vals.min() != lam_vals.max() or mu_vals.min() != mu_vals.max():
         return None
     lam, mu = int(lam_vals[0]), int(mu_vals[0])
     disc = (lam - mu) ** 2 + 4 * (k - mu)
     sd = math.isqrt(disc)
-    if sd * sd == disc and (lam - mu + sd) % 2 == 0:
+    # disc = (lam - mu)^2 mod 4, so sd has the parity of lam - mu
+    if sd * sd == disc:
         r = (lam - mu + sd) // 2
         s = (lam - mu - sd) // 2
         num = -k - s * (q - 1)

@@ -73,6 +73,14 @@ def test_verify_srg_positive_with_oracle(capsys):
     assert data["certificate"]["inputs"]["p1"] is None
 
 
+def test_verify_srg_oracle_counts_one_element_per_class(capsys):
+    # k = 21845: k^2 is above the 2^26 pair budget, k |D| is not
+    code, out, _ = run(capsys, "verify-srg", "--p", "2", "--f", "16", "--n", "3", "--classes", "0", "--oracle", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["oracle_ran"] and data["oracle_agrees"] is True
+
+
 def test_verify_srg_checked_false(capsys):
     code, out, _ = run(
         capsys,
@@ -298,7 +306,7 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     import cyclosrg.srg_engine
 
     # a broken difference count trips the oracle's guard (AssertionError)
-    monkeypatch.setattr(cyclosrg.srg_engine, "_difference_counts", lambda field, elems: np.zeros(field.q, dtype=np.int64))
+    monkeypatch.setattr(cyclosrg.srg_engine, "_difference_counts", lambda field, N, D: (np.zeros(N, dtype=np.int64), 0))
     code, out, err = run(capsys, "verify-srg", "--p", "2", "--f", "4", "--n", "5", "--classes", "0", "--oracle")
     assert code == 3 and out == "" and err.startswith("internal error: difference counts")
     assert err.count("\n") == 1

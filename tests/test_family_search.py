@@ -197,7 +197,7 @@ def test_verify_odd_characteristic_example():
     assert rep.q == 3**12 and rep.k == 15184
     assert rep.spectrum == (118, -125)
     assert rep.certificate.parameters() == (531441, 15184, 427, 434)
-    assert not rep.oracle_ran  # field too large for the pair budget policy
+    assert not rep.oracle_ran  # field above the q <= 4096 oracle policy
     assert rep.oracle_agrees is None
 
 

@@ -157,7 +157,8 @@ def test_domain_errors():
 def test_scalar_arithmetic_refuses_out_of_range_encodings(p, f):
     fld = get_field(p, f)
     for bad in (-1, fld.q, 100):
-        for op, args in ((fld.add, (5, bad)), (fld.add, (bad, 3)), (fld.sub, (5, bad)), (fld.neg, (bad,))):
+        cases = ((fld.add, (5, bad)), (fld.add, (bad, 3)), (fld.sub, (5, bad)), (fld.neg, (bad,)))
+        for op, args in cases + ((fld.mul, (0, bad)), (fld.mul, (bad, 0))):
             with pytest.raises(ValueError, match="element out of range"):
                 op(*args)
     assert fld.sub(5, 5) == 0 and fld.add(fld.neg(5), 5) == 0

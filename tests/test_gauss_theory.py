@@ -494,3 +494,6 @@ def test_numeric_error_bound_and_caps():
         gauss_sum_numeric(fld, 7, 1)
     with pytest.raises(ValueError, match="lie in"):
         gauss_sum_numeric(fld, 8, 8)
+    for N in (0, -7):
+        with pytest.raises(ValueError, match=f"N = {N} must be at least 1"):
+            gauss_sum_numeric(fld, N, 0)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclosrg import srg_engine
 from cyclosrg.cyclotomy import CyclotomicInteger, classify
 from cyclosrg.gauss_theory import mult_order
 from cyclosrg.ntheory import divisors, is_prime
@@ -141,10 +142,19 @@ def test_oracle_rejects_directed_set():
     assert cert is None or cert.parameters()[0] == 7
 
 
-def test_oracle_budget():
+def test_oracle_budget(monkeypatch):
+    # k = 21845 (k^2 > 2^26) counts k |D| = 21845 pairs
     cm = classify(get_field(2, 16), 3)
+    spectrum = srg_from_spectrum(cm.field.q, cm.class_size, cm.connection_sums((0,)))
+    cert = difference_count_oracle(cm, (0,))
+    assert cert is not None and cert.same_graph_data(spectrum)
+    # k = |D| = 32760 gives k |D| > 2^26: refused before any Zech table is built
+    cm = classify(get_field(65521, 1), 65520)
+    monkeypatch.setattr(srg_engine, "_difference_counts", lambda field, N, D: pytest.fail("counted past the budget"))
+    start = time.perf_counter()
     with pytest.raises(ValueError, match="budget"):
-        difference_count_oracle(cm, (0,))  # k = 21845, k^2 > 2^26
+        difference_count_oracle(cm, range(0, 65520, 2))
+    assert time.perf_counter() - start < 1
 
 
 def test_oracle_count_guard_survives_optimize():
@@ -201,8 +211,11 @@ def test_difference_counts_match_per_digit_reference(seed):
         N = int(rng.choice([N for N in divisors(fld.q - 1) if N >= 2]))
         D = np.flatnonzero(rng.random(N) < rng.random()).tolist() or [int(rng.integers(N))]
         elems = classify(fld, N).connection_set_elements(D)
-        got = _difference_counts(fld, elems)
-        assert np.array_equal(got, _reference_difference_counts(fld, elems)), (p, f, N, D)
+        counts, same = _difference_counts(fld, N, D)
+        ref = _reference_difference_counts(fld, elems)
+        assert ref[0] == elems.size and same == len(D), (p, f, N, D)
+        # the reference is constant on each class, and equal to counts there
+        assert np.array_equal(ref[fld.antilog], np.tile(counts, (fld.q - 1) // N)), (p, f, N, D)
 
 
 def test_oracle_agrees_with_spectrum_on_small_grid():
@@ -224,6 +237,45 @@ def test_oracle_agrees_with_spectrum_on_small_grid():
         assert (from_spectrum is None) == (from_oracle is None), (p, f, N, D)
         if from_spectrum is not None:
             assert from_spectrum.same_graph_data(from_oracle), (p, f, N, D)
+
+
+def _oracle_fields() -> dict[int, list[tuple[int, int, list[int]]]]:
+    # fields with q <= 2^16 and p <= 4096 by the bit length of q, each with its
+    # N <= 512 and N p <= 2^18, which keeps the Z[xi_p] values cheap
+    out: dict[int, list[tuple[int, int, list[int]]]] = {}
+    for p in filter(is_prime, range(2, 1 << 12)):
+        for f in range(1, 17):
+            q = p**f
+            Ns = [N for N in divisors(q - 1) if 2 <= N <= 512 and N * p <= 1 << 18] if 2 < q <= 1 << 16 else []
+            if Ns:
+                out.setdefault(q.bit_length(), []).append((p, f, Ns))
+    return out
+
+
+_ORACLE_FIELDS = _oracle_fields()
+
+
+@st.composite
+def _symmetric_unions(draw):
+    bits = draw(st.sampled_from(sorted(_ORACLE_FIELDS)))
+    p, f, Ns = draw(st.sampled_from(_ORACLE_FIELDS[bits]))
+    N = draw(st.sampled_from(Ns))
+    t = classify(get_field(p, f), N).negation_shift
+    orbits = sorted({tuple(sorted({i, (i + t) % N})) for i in range(N)})
+    chosen = draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits)))
+    return p, f, N, sorted(i for o, c in zip(orbits, chosen) if c for i in o) or list(orbits[0])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_symmetric_unions())
+def test_spectrum_agrees_with_oracle_up_to_q_2_16(case):
+    p, f, N, D = case
+    cm = classify(get_field(p, f), N)
+    from_spectrum = srg_from_spectrum(cm.field.q, len(D) * cm.class_size, cm.connection_sums(D))
+    from_oracle = difference_count_oracle(cm, D)
+    assert (from_spectrum is None) == (from_oracle is None)
+    if from_spectrum is not None:
+        assert from_spectrum.same_graph_data(from_oracle)
 
 
 def test_oracle_common_neighbor_spot_check():

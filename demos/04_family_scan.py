@@ -14,8 +14,8 @@ from cyclosrg import scan_pairs, scan_triples
 pairs = scan_pairs(50, 500)
 print(f"pairs with p <= 50, p1 <= 500: {len(pairs.hits)} hits, "
       f"{len(pairs.rejections)} rejections")
-for line in pairs.tsv_lines():
-    print("  " + line.replace("\t", "  "))
+for key, c in zip(pairs.hit_keys(), pairs.hits):
+    print(f"  {key}: h = {c.h}, b = {c.b}, f = {c.f1}, r = {c.r_formula}, s = {c.s_formula}")
 
 # Every hit carries a witness: the class number h, the pinned sign b,
 # the field degree f1 at m = 1, and the integer eigenvalues at m = 1
@@ -34,8 +34,8 @@ print("why (2, 3) fails:", pairs.rejection_reasons(2, 3))
 
 triples = scan_triples(5, 400)
 print(f"\ntriples with p <= 5, p1 p2 <= 400: {len(triples.hits)} hits")
-for line in triples.tsv_lines():
-    print("  " + line.replace("\t", "  "))
+for key, c in zip(triples.hit_keys(), triples.hits):
+    print(f"  {key}: h = {c.h}, b = {c.b}, f = {c.f1}, r = {c.r_formula}, s = {c.s_formula}")
 
 # The scan is symmetric in an interesting way: both orientations of
 # each unordered pair {p1, p2} pass, because the criterion treats the

@@ -31,7 +31,7 @@ from .gauss_theory import (
     index2_gauss_two_primes,
     semiprimitive_gauss,
 )
-from .srg_engine import difference_count_oracle, srg_from_spectrum
+from .srg_engine import certificates_agree, difference_count_oracle, srg_from_spectrum
 
 
 def _cell(value) -> str:
@@ -152,11 +152,7 @@ def _cmd_verify_srg(args):
         if cert.degenerate:
             pretty.append("degenerate: mu = 0 (disjoint cliques)")
     if args.oracle:
-        oracle_cert = difference_count_oracle(cm, D)
-        agree = (cert is None) == (oracle_cert is None)
-        if cert is not None and oracle_cert is not None:
-            agree = oracle_cert.same_graph_data(cert)
-        data["oracle_agrees"] = agree
+        data["oracle_agrees"] = certificates_agree(cert, difference_count_oracle(cm, D))
         pretty.append(f"difference-count oracle agrees: {data['oracle_agrees']}")
     ok = data["ok"] and data["oracle_agrees"] is not False
     return data, _records(data), pretty, 0 if ok else 1
@@ -219,7 +215,11 @@ def _cmd_scan(args):
     else:
         report = scan_triples(args.p_max, args.n_max)
         title = f"triple scan p <= {args.p_max}, p1*p2 <= {args.n_max}"
-    tsv = report.tsv_lines()
+    rows = [
+        (c.p, c.p1, c.p2, c.h, c.b, c.f1, f"({c.p}^f-1)/{c.p1 * (c.p2 or 1)}", c.r_formula, c.s_formula)
+        for c in report.hits
+    ]
+    tsv = _table(("p", "p1", "p2", "h", "b", "f", "k", "r", "s"), rows)
     pretty = [f"{title}: {len(report.hits)} hits, {len(report.rejections)} rejections"]
     pretty += [line.replace("\t", "  ") for line in tsv]
     return report.to_json_dict(), tsv, pretty, 0

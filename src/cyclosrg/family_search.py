@@ -20,6 +20,7 @@ from .srg_engine import (
     PredictedSpectrum,
     ScanTables,
     SrgCertificate,
+    certificates_agree,
     difference_count_oracle,
     pair_family_check,
     predicted_spectrum_prime_power,
@@ -80,34 +81,6 @@ class SearchReport:
             "hits": [c.to_json_dict() for c in self.hits],
             "rejections": rejections,
         }
-
-    def tsv_lines(self) -> list[str]:
-        """Summary table of the hits: one row per family, formulas in m."""
-        lines = ["p\tp1\tp2\th\tb\tf\tk\tr\ts"]
-        for c in self.hits:
-            if c.p2 is None:
-                p2_col = "-"
-                modulus = c.p1
-            else:
-                p2_col = str(c.p2)
-                modulus = c.p1 * c.p2
-            k_formula = f"({c.p}^f-1)/{modulus}"
-            lines.append(
-                "\t".join(
-                    (
-                        str(c.p),
-                        str(c.p1),
-                        p2_col,
-                        str(c.h),
-                        str(c.b),
-                        str(c.f1),
-                        k_formula,
-                        str(c.r_formula),
-                        str(c.s_formula),
-                    )
-                )
-            )
-        return lines
 
 
 def _check_scan_bounds(p_max: int, other_max: int) -> None:
@@ -304,12 +277,7 @@ def verify_named_example(name: str) -> ExampleReport:
     oracle_agrees = None
     if field.q <= _ORACLE_Q_CAP:
         oracle_ran = True
-        oracle_cert = difference_count_oracle(cm, ex.classes)
-        oracle_agrees = (
-            oracle_cert is not None
-            and cert is not None
-            and oracle_cert.same_graph_data(cert)
-        )
+        oracle_agrees = certificates_agree(cert, difference_count_oracle(cm, ex.classes))
     ok = cert is not None and predicted_matches and oracle_agrees is not False
     return ExampleReport(
         example=ex,

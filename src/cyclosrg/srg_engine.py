@@ -133,6 +133,13 @@ class SrgCertificate:
         return out
 
 
+def certificates_agree(cert: SrgCertificate | None, other: SrgCertificate | None) -> bool:
+    """Do two routes agree: neither certifies, or both certify the same graph data?"""
+    if cert is None or other is None:
+        return cert is other
+    return cert.same_graph_data(other)
+
+
 def _exact(v) -> int | CyclotomicInteger:
     """An eigenvalue as an int when it is a rational integer, else as itself."""
     if isinstance(v, (int, np.integer)):
@@ -387,21 +394,27 @@ class ScanTables:
     """is_prime, factorize and class_number(d) by lookup for n, d <= bound.
 
     A scan builds one per call and passes it to the family checks: a
-    smallest-prime-factor sieve to bound and the reduced-form counts to
-    4 bound.  Beyond bound, and in ScanTables(), the module functions answer.
+    smallest-prime-factor sieve to bound, and the class numbers of the
+    squarefree d <= bound read off the reduced-form counts to 4 bound, with
+    0 marking every other d.  Outside 1 <= n <= bound, for d not squarefree,
+    and in ScanTables(), the module functions answer or refuse.
     """
 
     def __init__(self, bound: int = 0):
         self.bound = bound
         if bound:
             self.spf = smallest_prime_factors(bound).tolist()
-            self.forms = reduced_form_counts(4 * bound).tolist()
+            d = np.arange(bound + 1)
+            h = reduced_form_counts(4 * bound)[np.where(d % 4 == 3, d, 4 * d)]
+            for i in range(2, math.isqrt(bound) + 1):
+                h[i * i :: i * i] = 0
+            self.class_numbers = h.tolist()
 
     def is_prime(self, n: int) -> bool:
         return n >= 2 and self.spf[n] == n if n <= self.bound else is_prime(n)
 
     def factorize(self, n: int) -> dict[int, int]:
-        if n > self.bound:
+        if not 1 <= n <= self.bound:
             return factorize(n)
         out: dict[int, int] = {}
         while n > 1:
@@ -410,14 +423,14 @@ class ScanTables:
         return out
 
     def class_number(self, d: int) -> int:
-        return self.forms[d if d % 4 == 3 else 4 * d] if d <= self.bound else class_number(d)
+        return (self.class_numbers[d] if 1 <= d <= self.bound else 0) or class_number(d)
 
 
 @dataclass(frozen=True)
 class FamilyCheck:
     """Outcome of the pair/triple family criterion with a full witness.
 
-    reasons lists every failing check (empty iff ok).  For passing
+    reasons lists every failing check; ok means there is none.  For passing
     candidates the witness carries the class number h, the pinned sign b,
     and the predicted integer eigenvalues at m = 1 and m = 2; m > 2 members
     are certified by order lifting (full order modulo p1^2 lifts to p1^m).
@@ -426,7 +439,6 @@ class FamilyCheck:
     p: int
     p1: int
     p2: int | None
-    ok: bool
     reasons: tuple[str, ...]
     h: int | None = None
     b: int | None = None
@@ -437,6 +449,10 @@ class FamilyCheck:
     s2: int | None = None
     r_formula: str | None = None
     s_formula: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return not self.reasons
 
     def to_json_dict(self) -> dict:
         out = {
@@ -459,6 +475,26 @@ class FamilyCheck:
         return out
 
 
+def _family_hit(
+    p: int, p1: int, p2: int | None, h: int, b: int, f1: int, a_r: int, a_s: int, predict
+) -> FamilyCheck:
+    """The witness of a family hit: eigenvalues at m = 1 and 2 and the formulas in p^h0.
+
+    predict(m) gives the closed-form spectrum at exponent m; both index-2
+    Gauss sums must pin the family's sign b.
+    """
+    sp1, sp2 = predict(1), predict(2)
+    if sp1.gauss.b != b or sp2.gauss.b != b:
+        raise AssertionError(f"family sign b = {b} disagrees with the index-2 Gauss sum")
+    r1, s1 = max(sp1.integer_values()), min(sp1.integer_values())
+    r2, s2 = max(sp2.integer_values()), min(sp2.integer_values())
+    n = p1 * (p2 or 1)
+    return FamilyCheck(
+        p, p1, p2, (), h=h, b=b, f1=f1, r1=r1, s1=s1, r2=r2, s2=s2,
+        r_formula=f"({a_r}*{p}^h0-1)/{n}", s_formula=f"({a_s}*{p}^h0-1)/{n}",
+    )
+
+
 def pair_family_check(p: int, p1: int, *, tables: ScanTables | None = None) -> FamilyCheck:
     """Does (p, p1) generate the prime-power SRG family for every m >= 1?
 
@@ -470,9 +506,9 @@ def pair_family_check(p: int, p1: int, *, tables: ScanTables | None = None) -> F
     nt = tables or ScanTables()
     reasons: list[str] = []
     if not (nt.is_prime(p) and nt.is_prime(p1)):
-        return FamilyCheck(p, p1, None, False, (REASON_NOT_PRIME,))
+        return FamilyCheck(p, p1, None, (REASON_NOT_PRIME,))
     if p == p1:
-        return FamilyCheck(p, p1, None, False, (REASON_NOT_COPRIME,))
+        return FamilyCheck(p, p1, None, (REASON_NOT_COPRIME,))
     h = nt.class_number(p1)  # refuses p1 beyond CLASS_NUMBER_CAP before any order is found
     if p1 <= 3:
         reasons.append(REASON_P1_TOO_SMALL)
@@ -488,20 +524,12 @@ def pair_family_check(p: int, p1: int, *, tables: ScanTables | None = None) -> F
     if 1 + p1 != 4 * p**h:
         reasons.append(REASON_DIOPHANTINE_FAIL)
     if reasons:
-        return FamilyCheck(p, p1, None, False, tuple(reasons), h=h)
+        return FamilyCheck(p, p1, None, tuple(reasons), h=h)
     b = 1 if p1 % 8 == 3 else -1
-    sp1 = predicted_spectrum_prime_power(p, p1, 1)
-    sp2 = predicted_spectrum_prime_power(p, p1, 2)
-    if sp1.gauss.b != b or sp2.gauss.b != b:
-        raise AssertionError("mod-8 rule disagrees with congruence resolution")
-    r1, s1 = max(sp1.integer_values()), min(sp1.integer_values())
-    r2, s2 = max(sp2.integer_values()), min(sp2.integer_values())
     a_r = (p1 - 1) // 2 if b == 1 else (p1 + 1) // 2
     a_s = -((p1 + 1) // 2) if b == 1 else -((p1 - 1) // 2)
-    return FamilyCheck(
-        p, p1, None, True, (), h=h, b=b, f1=(p1 - 1) // 2,
-        r1=r1, s1=s1, r2=r2, s2=s2,
-        r_formula=f"({a_r}*{p}^h0-1)/{p1}", s_formula=f"({a_s}*{p}^h0-1)/{p1}",
+    return _family_hit(
+        p, p1, None, h, b, (p1 - 1) // 2, a_r, a_s, lambda m: predicted_spectrum_prime_power(p, p1, m)
     )
 
 
@@ -517,9 +545,9 @@ def triple_family_check(p: int, p1: int, p2: int, *, tables: ScanTables | None =
     nt = tables or ScanTables()
     reasons: list[str] = []
     if not (nt.is_prime(p) and nt.is_prime(p1) and nt.is_prime(p2)):
-        return FamilyCheck(p, p1, p2, False, (REASON_NOT_PRIME,))
+        return FamilyCheck(p, p1, p2, (REASON_NOT_PRIME,))
     if p in (p1, p2) or p1 == p2:
-        return FamilyCheck(p, p1, p2, False, (REASON_NOT_COPRIME,))
+        return FamilyCheck(p, p1, p2, (REASON_NOT_COPRIME,))
     h = nt.class_number(p1 * p2)  # refuses p1 p2 beyond CLASS_NUMBER_CAP before any order is found
     if h % 2:
         raise AssertionError(f"h(Q(sqrt(-{p1 * p2}))) = {h} is odd, against genus theory")
@@ -535,18 +563,9 @@ def triple_family_check(p: int, p1: int, p2: int, *, tables: ScanTables | None =
     if 1 + p1 * p2 != 4 * p**h:
         reasons.append(REASON_DIOPHANTINE_FAIL)
     if reasons:
-        return FamilyCheck(p, p1, p2, False, tuple(reasons), h=h)
+        return FamilyCheck(p, p1, p2, tuple(reasons), h=h)
     b = (-1 if p1 % 4 == 3 else 1) * (p1 - 2 * p ** (h // 2))
-    sp1 = predicted_spectrum_two_primes(p, p1, p2, 1)
-    sp2 = predicted_spectrum_two_primes(p, p1, p2, 2)
-    if sp1.gauss.b != b or sp2.gauss.b != b:
-        raise AssertionError("b = e (p1 - R) disagrees with congruence resolution")
-    r1, s1 = max(sp1.integer_values()), min(sp1.integer_values())
-    r2, s2 = max(sp2.integer_values()), min(sp2.integer_values())
-    a_r = (b + p1 * p2) // 2
-    a_s = (b - p1 * p2) // 2
-    return FamilyCheck(
-        p, p1, p2, True, (), h=h, b=b, f1=(p1 - 1) * (p2 - 1) // 2,
-        r1=r1, s1=s1, r2=r2, s2=s2,
-        r_formula=f"({a_r}*{p}^h0-1)/{p1 * p2}", s_formula=f"({a_s}*{p}^h0-1)/{p1 * p2}",
+    return _family_hit(
+        p, p1, p2, h, b, (p1 - 1) * (p2 - 1) // 2, (b + p1 * p2) // 2, (b - p1 * p2) // 2,
+        lambda m: predicted_spectrum_two_primes(p, p1, p2, m),
     )

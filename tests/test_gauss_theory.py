@@ -204,6 +204,10 @@ def test_reduced_form_counts_match_class_number():
             h = class_number(d)
             assert counts[d if d % 4 == 3 else 4 * d] == h, d
             assert tables.class_number(d) == h, d
+    # outside squarefree 1 <= d <= bound the tables defer to class_number, which refuses
+    for d in (-1, 0, 4, 18):
+        with pytest.raises(ValueError):
+            tables.class_number(d)
 
 
 def test_class_number_parity_follows_genus_theory():

@@ -1,10 +1,19 @@
 """The deterministic Miller-Rabin primality test and its bound, and the sieve."""
 
 import math
+import time
 
 import pytest
 
-from cyclosrg.ntheory import PRIME_TEST_BOUND, factorize, is_prime, primes_upto, smallest_prime_factors
+from cyclosrg.gauss_theory import classify_index2, mult_order
+from cyclosrg.ntheory import (
+    PRIME_TEST_BOUND,
+    TRIAL_DIVISION_BOUND,
+    factorize,
+    is_prime,
+    primes_upto,
+    smallest_prime_factors,
+)
 from cyclosrg.srg_engine import ScanTables
 
 PSI_12 = 318665857834031151167461  # strong pseudoprime to the first 12 prime bases
@@ -30,6 +39,27 @@ def test_is_prime_refuses_beyond_its_bound():
         with pytest.raises(ValueError, match="only decided below"):
             is_prime(n)
 
+
+
+def test_factorize_stops_trial_division_at_its_bound():
+    assert TRIAL_DIVISION_BOUND == 10**6
+    assert factorize(10**12 + 39) == {10**12 + 39: 1}
+    assert factorize(2**40 * 3**5 * 999983) == {2: 40, 3: 5, 999983: 1}
+    # both factors lie just above the bound, so the cofactor is composite and refused
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=str(TRIAL_DIVISION_BOUND)):
+        factorize(1000003 * 1000033)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("fn", [mult_order, classify_index2])
+def test_public_number_theory_is_bounded_on_large_moduli(fn):
+    start = time.perf_counter()
+    try:
+        fn(2, 100000000000000000039)
+    except ValueError:
+        pass
+    assert time.perf_counter() - start < 1.0
 
 
 def _reference_primes_upto(n):
@@ -58,3 +88,8 @@ def test_smallest_prime_factors_and_sieve_factorization():
         assert n < 2 or spf[n] == min(fac), n
         assert tables.factorize(n) == fac, n
         assert tables.is_prime(n) == is_prime(n), n
+    # outside 1 <= n <= bound the module function answers or refuses
+    with pytest.raises(ValueError):
+        tables.factorize(0)
+    with pytest.raises(ValueError):
+        tables.factorize(-5)

@@ -1,6 +1,7 @@
 """Spectrum certification, the difference-count oracle, and predictions."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from cyclosrg.srg_engine import (
     REASON_NOT_PRIME,
     ScanTables,
     _difference_counts,
+    certificates_agree,
     difference_count_oracle,
     pair_family_check,
     predicted_spectrum_prime_power,
@@ -278,6 +280,16 @@ def test_spectrum_agrees_with_oracle_up_to_q_2_16(case):
         assert from_spectrum.same_graph_data(from_oracle)
 
 
+def test_certificates_agree_rule():
+    cert = srg_from_spectrum(4096, 273, [17, -15])
+    assert certificates_agree(None, None)
+    assert not certificates_agree(cert, None)
+    assert not certificates_agree(None, cert)
+    # the route that produced a certificate is not graph data
+    assert certificates_agree(cert, dataclasses.replace(cert, source="ORACLE"))
+    assert not certificates_agree(cert, srg_from_spectrum(16, 5, [1, -3]))
+
+
 def test_oracle_common_neighbor_spot_check():
     # independent adjacency-matrix verification of lambda and mu
     fld = get_field(2, 4)
@@ -449,6 +461,19 @@ def test_triple_family_refuses_odd_class_number():
 
     with pytest.raises(AssertionError, match="is odd, against genus theory"):
         triple_family_check(2, 3, 5, tables=OddClassNumber())
+
+
+def test_triple_family_cross_checks_gauss_sign(monkeypatch):
+    # a Gauss sum whose b disagrees with b = e (p1 - R) is an internal fault
+    two_primes = srg_engine.predicted_spectrum_two_primes
+
+    def flipped_b(p, p1, p2, m):
+        sp = two_primes(p, p1, p2, m)
+        return dataclasses.replace(sp, gauss=dataclasses.replace(sp.gauss, b=-sp.gauss.b))
+
+    monkeypatch.setattr(srg_engine, "predicted_spectrum_two_primes", flipped_b)
+    with pytest.raises(AssertionError, match="b = 1"):
+        triple_family_check(2, 3, 5)
 
 
 def test_family_index2_reason_matches_mult_order():

@@ -11,7 +11,9 @@ check (AssertionError) or sign resolution (ArithmeticError), reported as one
 Each handler returns (payload, tsv lines, pretty lines, exit code).  The tsv
 of a record is one ``key<TAB>value`` line per top-level payload field, the
 certificate left to json; the tsv of a table is a header line and one line
-per row.  Pretty output is prose written per command.
+per row.  Pretty output is prose written per command.  The scan handlers
+build their payload, one entry per rejected candidate, only for json and
+return None in its place otherwise.  The parser is built once, at import.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def _cmd_scan(args):
     tsv = _table(("p", "p1", "p2", "h", "b", "f", "k", "r", "s"), rows)
     pretty = [f"{title}: {len(report.hits)} hits, {len(report.rejections)} rejections"]
     pretty += [line.replace("\t", "  ") for line in tsv]
-    return report.to_json_dict(), tsv, pretty, 0
+    return report.to_json_dict() if args.format == "json" else None, tsv, pretty, 0
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +302,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     # witnesses such as r_m2 of scan-pairs reach tens of thousands of digits;
     # lift Python's int -> str digit limit (3.11+) so that they print in full
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         data, tsv, pretty, code = args.handler(args)
     except ValueError as exc:

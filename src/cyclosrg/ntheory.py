@@ -8,6 +8,7 @@ larger inputs are rejected with ValueError.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -23,6 +24,7 @@ TRIAL_DIVISION_BOUND = 10**6
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < PRIME_TEST_BOUND (about 3.3e24)."""
+    n = operator.index(n)
     if n < 2:
         return False
     if n >= PRIME_TEST_BOUND:
@@ -54,6 +56,7 @@ def factorize(n: int) -> dict[int, int]:
     The cofactor left after that is prime when it is below the bound squared
     or passes is_prime; any other n is refused with ValueError.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     out: dict[int, int] = {}

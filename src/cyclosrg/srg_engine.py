@@ -391,13 +391,15 @@ def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> Predicted
 
 
 class ScanTables:
-    """is_prime, factorize and class_number(d) by lookup for n, d <= bound.
+    """is_prime, factorize, class_number(d) and order(p, ell) by lookup for n, d, ell <= bound.
 
     A scan builds one per call and passes it to the family checks: a
     smallest-prime-factor sieve to bound, and the class numbers of the
     squarefree d <= bound read off the reduced-form counts to 4 bound, with
     0 marking every other d.  Outside 1 <= n <= bound, for d not squarefree,
-    and in ScanTables(), the module functions answer or refuse.
+    and in ScanTables(), the module functions answer or refuse.  The orders
+    ord_ell(p) are kept per (p, ell) as they are asked for, with the prime
+    divisors of each ell - 1 found once; ScanTables() keeps none.
     """
 
     def __init__(self, bound: int = 0):
@@ -409,6 +411,8 @@ class ScanTables:
             for i in range(2, math.isqrt(bound) + 1):
                 h[i * i :: i * i] = 0
             self.class_numbers = h.tolist()
+            self._orders: dict[tuple[int, int], int] = {}
+            self._order_primes: dict[int, list[int]] = {}
 
     def is_prime(self, n: int) -> bool:
         return n >= 2 and self.spf[n] == n if n <= self.bound else is_prime(n)
@@ -424,6 +428,18 @@ class ScanTables:
 
     def class_number(self, d: int) -> int:
         return (self.class_numbers[d] if 1 <= d <= self.bound else 0) or class_number(d)
+
+    def order(self, p: int, ell: int) -> int:
+        """The multiplicative order of p modulo the prime ell, which must not divide p."""
+        if not self.bound:
+            return _reduce_order(p, ell, ell - 1, self.factorize(ell - 1))
+        order = self._orders.get((p, ell))
+        if order is None:
+            primes = self._order_primes.get(ell)
+            if primes is None:
+                primes = self._order_primes[ell] = list(self.factorize(ell - 1))
+            order = self._orders[p, ell] = _reduce_order(p, ell, ell - 1, primes)
+        return order
 
 
 @dataclass(frozen=True)
@@ -495,6 +511,39 @@ def _family_hit(
     )
 
 
+def _pair_reasons(p: int, p1: int, nt: ScanTables) -> tuple[tuple[str, ...], int | None]:
+    """The failing checks of the pair criterion, in order, and h(Q(sqrt(-p1))) once it is read."""
+    if not (nt.is_prime(p) and nt.is_prime(p1)):
+        return (REASON_NOT_PRIME,), None
+    if p == p1:
+        return (REASON_NOT_COPRIME,), None
+    h = nt.class_number(p1)  # refuses p1 beyond CLASS_NUMBER_CAP before any order is found
+    reasons: list[str] = []
+    if p1 <= 3:
+        reasons.append(REASON_P1_TOO_SMALL)
+    if p1 % 4 != 3:
+        reasons.append(REASON_MOD4_PATTERN)
+    if p1 % 2:
+        # the order modulo p1^2 is the order o modulo p1, or p1 o
+        order = nt.order(p, p1)
+        if order != (p1 - 1) // 2 or pow(p, order, p1 * p1) == 1:
+            reasons.append(REASON_NOT_INDEX2)
+    else:
+        reasons.append(REASON_NOT_INDEX2)
+    if 1 + p1 != 4 * p**h:
+        reasons.append(REASON_DIOPHANTINE_FAIL)
+    return tuple(reasons), h
+
+
+def _pair_hit(p: int, p1: int, h: int) -> FamilyCheck:
+    b = 1 if p1 % 8 == 3 else -1
+    a_r = (p1 - 1) // 2 if b == 1 else (p1 + 1) // 2
+    a_s = -((p1 + 1) // 2) if b == 1 else -((p1 - 1) // 2)
+    return _family_hit(
+        p, p1, None, h, b, (p1 - 1) // 2, a_r, a_s, lambda m: predicted_spectrum_prime_power(p, p1, m)
+    )
+
+
 def pair_family_check(p: int, p1: int, *, tables: ScanTables | None = None) -> FamilyCheck:
     """Does (p, p1) generate the prime-power SRG family for every m >= 1?
 
@@ -503,33 +552,38 @@ def pair_family_check(p: int, p1: int, *, tables: ScanTables | None = None) -> F
     h = h(Q(sqrt(-p1))).  Then b, c = +-1 and the spectrum is two-valued
     for every m.
     """
-    nt = tables or ScanTables()
+    reasons, h = _pair_reasons(p, p1, tables or ScanTables())
+    return FamilyCheck(p, p1, None, reasons, h=h) if reasons else _pair_hit(p, p1, h)
+
+
+def _triple_reasons(p: int, p1: int, p2: int, nt: ScanTables) -> tuple[tuple[str, ...], int | None]:
+    """The failing checks of the triple criterion, in order, and h(Q(sqrt(-p1 p2))) once it is read."""
+    if not (nt.is_prime(p) and nt.is_prime(p1) and nt.is_prime(p2)):
+        return (REASON_NOT_PRIME,), None
+    if p in (p1, p2) or p1 == p2:
+        return (REASON_NOT_COPRIME,), None
+    h = nt.class_number(p1 * p2)  # refuses p1 p2 beyond CLASS_NUMBER_CAP before any order is found
+    if h % 2:
+        raise AssertionError(f"h(Q(sqrt(-{p1 * p2}))) = {h} is odd, against genus theory")
     reasons: list[str] = []
-    if not (nt.is_prime(p) and nt.is_prime(p1)):
-        return FamilyCheck(p, p1, None, (REASON_NOT_PRIME,))
-    if p == p1:
-        return FamilyCheck(p, p1, None, (REASON_NOT_COPRIME,))
-    h = nt.class_number(p1)  # refuses p1 beyond CLASS_NUMBER_CAP before any order is found
-    if p1 <= 3:
-        reasons.append(REASON_P1_TOO_SMALL)
-    if p1 % 4 != 3:
+    if {p1 % 4, p2 % 4} != {1, 3}:
         reasons.append(REASON_MOD4_PATTERN)
-    if p1 % 2:
-        # the order modulo p1^2 is the order o modulo p1, or p1 o
-        order = _reduce_order(p, p1, p1 - 1, nt.factorize(p1 - 1))
-        if order != (p1 - 1) // 2 or pow(p, order, p1 * p1) == 1:
-            reasons.append(REASON_NOT_INDEX2)
-    else:
+    # orders modulo p1^2 and p1 p2 follow from o1 = ord mod p1 and o2 = ord mod p2
+    o1, o2 = nt.order(p, p1), nt.order(p, p2)
+    full_orders = o1 == p1 - 1 and pow(p, o1, p1 * p1) != 1 and o2 == p2 - 1
+    index2_overall = 2 * math.lcm(o1, o2) == (p1 - 1) * (p2 - 1)
+    if not (full_orders and index2_overall):
         reasons.append(REASON_NOT_INDEX2)
-    if 1 + p1 != 4 * p**h:
+    if 1 + p1 * p2 != 4 * p**h:
         reasons.append(REASON_DIOPHANTINE_FAIL)
-    if reasons:
-        return FamilyCheck(p, p1, None, tuple(reasons), h=h)
-    b = 1 if p1 % 8 == 3 else -1
-    a_r = (p1 - 1) // 2 if b == 1 else (p1 + 1) // 2
-    a_s = -((p1 + 1) // 2) if b == 1 else -((p1 - 1) // 2)
+    return tuple(reasons), h
+
+
+def _triple_hit(p: int, p1: int, p2: int, h: int) -> FamilyCheck:
+    b = (-1 if p1 % 4 == 3 else 1) * (p1 - 2 * p ** (h // 2))
     return _family_hit(
-        p, p1, None, h, b, (p1 - 1) // 2, a_r, a_s, lambda m: predicted_spectrum_prime_power(p, p1, m)
+        p, p1, p2, h, b, (p1 - 1) * (p2 - 1) // 2, (b + p1 * p2) // 2, (b - p1 * p2) // 2,
+        lambda m: predicted_spectrum_two_primes(p, p1, p2, m),
     )
 
 
@@ -542,30 +596,5 @@ def triple_family_check(p: int, p1: int, p2: int, *, tables: ScanTables | None =
     p1 p2 = (R - 1)(R + 1) with R = 2 p^{h/2} >= 4 forces {p1, p2} = {R - 1, R + 1},
     so b = e (p1 - R) = +-1 with e = (-1)^{(p1-1)/2}.
     """
-    nt = tables or ScanTables()
-    reasons: list[str] = []
-    if not (nt.is_prime(p) and nt.is_prime(p1) and nt.is_prime(p2)):
-        return FamilyCheck(p, p1, p2, (REASON_NOT_PRIME,))
-    if p in (p1, p2) or p1 == p2:
-        return FamilyCheck(p, p1, p2, (REASON_NOT_COPRIME,))
-    h = nt.class_number(p1 * p2)  # refuses p1 p2 beyond CLASS_NUMBER_CAP before any order is found
-    if h % 2:
-        raise AssertionError(f"h(Q(sqrt(-{p1 * p2}))) = {h} is odd, against genus theory")
-    if {p1 % 4, p2 % 4} != {1, 3}:
-        reasons.append(REASON_MOD4_PATTERN)
-    # orders modulo p1^2 and p1 p2 follow from o1 = ord mod p1 and o2 = ord mod p2
-    o1 = _reduce_order(p, p1, p1 - 1, nt.factorize(p1 - 1))
-    o2 = _reduce_order(p, p2, p2 - 1, nt.factorize(p2 - 1))
-    full_orders = o1 == p1 - 1 and pow(p, o1, p1 * p1) != 1 and o2 == p2 - 1
-    index2_overall = 2 * math.lcm(o1, o2) == (p1 - 1) * (p2 - 1)
-    if not (full_orders and index2_overall):
-        reasons.append(REASON_NOT_INDEX2)
-    if 1 + p1 * p2 != 4 * p**h:
-        reasons.append(REASON_DIOPHANTINE_FAIL)
-    if reasons:
-        return FamilyCheck(p, p1, p2, tuple(reasons), h=h)
-    b = (-1 if p1 % 4 == 3 else 1) * (p1 - 2 * p ** (h // 2))
-    return _family_hit(
-        p, p1, p2, h, b, (p1 - 1) * (p2 - 1) // 2, (b + p1 * p2) // 2, (b - p1 * p2) // 2,
-        lambda m: predicted_spectrum_two_primes(p, p1, p2, m),
-    )
+    reasons, h = _triple_reasons(p, p1, p2, tables or ScanTables())
+    return FamilyCheck(p, p1, p2, reasons, h=h) if reasons else _triple_hit(p, p1, p2, h)

@@ -302,6 +302,37 @@ def test_golden_stdout(capsys, argv, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+def test_golden_stdout_in_one_process_both_ways(capsys):
+    # one parser serves every call: no option or default of one argv may reach the next
+    for argv, code, digest in [*_GOLDEN, *reversed(_GOLDEN)]:
+        got, out, _ = run(capsys, *argv.split())
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
+
+
+# sha256 of the --help stdout at 80 columns (argparse of CPython 3.11)
+_HELP = [
+    ("--help", "aae0a6dd1e881fa6b1e8f891b76eb108c31b200d493b6675c59402968db1a4b7"),
+    ("build-field --help", "74eaffd4866fb5251ab67436512a7c1c4acd60d9148b4656728a95666a143a23"),
+    ("periods --help", "b653dc9e43b7e44b6875ed2e3e6c0d6d99aff9dbe8c44d031b096516ae989e56"),
+    ("verify-srg --help", "c84155906e77f48a60f591de65ec229482f0554d74e9ec66d460558ce807e017"),
+    ("verify-example --help", "3dd5d32d20541046de7b98ebf060e3d777447fe81d497461b722e46a000c9beb"),
+    ("gauss-semiprimitive --help", "aec584df4da8e9ce17c707cc38b921c2fd5fb6720f51599fb71f538a6466ebb2"),
+    ("gauss-index2 --help", "ae242e7f863864a978b0daecc796eb6cf348cd9a8fa032e0d1db14416c64569c"),
+    ("class-number --help", "e50049a871fadcd7acc784579ebca6e3792b1478facbe154c2de0ed2fad00477"),
+    ("scan-pairs --help", "e33621ef1be83f23279d1507189505e260c3b8f6ed1ac948ad5d4e8d01a3c3a2"),
+    ("scan-triples --help", "8965baf87aa5cef6ec73ce8a1c4fad302b01840f38c9aaa69f4e0d6c52285c71"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _HELP, ids=[argv for argv, _ in _HELP])
+def test_help_stdout(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    out = capsys.readouterr().out
+    assert (info.value.code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 def test_internal_errors_exit_3(capsys, monkeypatch):
     import cyclosrg.gauss_theory
     import cyclosrg.srg_engine

@@ -5,6 +5,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclosrg.cyclotomy import classify
+from cyclosrg.finite_field import build_field
 from cyclosrg.family_search import (
     NAMED_EXAMPLES,
     SearchReport,
@@ -19,10 +21,12 @@ from cyclosrg.srg_engine import (
     REASON_NOT_COPRIME,
     REASON_NOT_INDEX2,
     REASON_P1_TOO_SMALL,
+    certificates_agree,
+    difference_count_oracle,
     pair_family_check,
+    srg_from_spectrum,
     triple_family_check,
 )
-
 PAIR_HITS = ((2, 7), (3, 107), (5, 19), (5, 499), (17, 67), (41, 163))
 TRIPLE_HITS = ((2, 3, 5), (2, 5, 3), (3, 5, 7), (3, 7, 5), (3, 17, 19), (3, 19, 17))
 
@@ -193,6 +197,17 @@ def test_verify_odd_characteristic_example():
     assert rep.certificate.parameters() == (531441, 15184, 427, 434)
     assert not rep.oracle_ran  # field above the q <= 4096 oracle policy
     assert rep.oracle_agrees is None
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_EXAMPLES))
+def test_oracle_agrees_on_every_named_example(name):
+    # verify_named_example runs the oracle only for q <= _ORACLE_Q_CAP; here it runs on all seven
+    ex = NAMED_EXAMPLES[name]
+    cm = classify(build_field(ex.p, ex.f), ex.n)
+    cert = srg_from_spectrum(ex.q, ex.k, cm.connection_sums(ex.classes), source="COMPUTED")
+    oracle = difference_count_oracle(cm, ex.classes)
+    assert cert is not None and oracle is not None
+    assert certificates_agree(cert, oracle)
 
 
 def test_verify_unknown_name():

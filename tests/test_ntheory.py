@@ -3,6 +3,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 from cyclosrg.gauss_theory import classify_index2, mult_order
@@ -14,7 +15,7 @@ from cyclosrg.ntheory import (
     primes_upto,
     smallest_prime_factors,
 )
-from cyclosrg.srg_engine import ScanTables
+from cyclosrg.srg_engine import ScanTables, pair_family_check
 
 PSI_12 = 318665857834031151167461  # strong pseudoprime to the first 12 prime bases
 
@@ -39,6 +40,29 @@ def test_is_prime_refuses_beyond_its_bound():
         with pytest.raises(ValueError, match="only decided below"):
             is_prime(n)
 
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (is_prime, (2.0,)),
+        (is_prime, (7.5,)),
+        (factorize, (12.0,)),
+        (pair_family_check, (2.0, 7)),
+        (pair_family_check, (2, 7.0)),
+    ],
+)
+def test_number_theory_refuses_floats(fn, args):
+    with pytest.raises(TypeError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("n", [2, 7, 12, 91, 97, 10**12 + 39])
+def test_number_theory_accepts_numpy_integers(n):
+    assert is_prime(np.int64(n)) == is_prime(n)
+    fac = factorize(np.int64(n))
+    assert fac == factorize(n)
+    assert all(type(p) is int for p in fac)
 
 
 def test_factorize_stops_trial_division_at_its_bound():
@@ -93,3 +117,16 @@ def test_smallest_prime_factors_and_sieve_factorization():
         tables.factorize(0)
     with pytest.raises(ValueError):
         tables.factorize(-5)
+
+
+def test_scan_table_orders_match_mult_order():
+    primes = primes_upto(2000)
+    tables, direct = ScanTables(2000), ScanTables()
+    for p in primes_upto(60):
+        for ell in primes:
+            if ell != p:
+                expected = mult_order(p, ell)
+                assert tables.order(p, ell) == direct.order(p, ell) == expected, (p, ell)
+    # asked again, the kept orders give the same answers
+    assert [tables.order(2, ell) for ell in primes[1:]] == [mult_order(2, ell) for ell in primes[1:]]
+    assert not hasattr(direct, "_orders")

@@ -15,15 +15,16 @@ table viewed as a (q-1)/N x N array: column a lists C_a in log order.  Both
 the trace tally and the elements of a union of classes are read off that
 view.
 
-Products in Z[xi_p] are computed by Kronecker substitution on Python ints:
-each factor's p exponent counts are shifted to be nonnegative (adding a
-constant to all of them leaves the value unchanged), packed nb bytes apart
-into one integer with 256^nb above every product coefficient, multiplied
-once, unpacked and folded mod p.  It is exact at any coefficient size.
+Z[xi_p] is kept as an additive group: no product is formed.  The one
+quadratic subfield Q(sqrt(p*)), p* = (-1)^((p-1)/2) p, is read off the
+exponent counts instead: an element lies in it exactly when its counts are
+constant on the nonzero squares and constant on the non-squares, and is
+then u + v*eta0 with eta0 the sum of xi^t over the nonzero squares t.
 
 Periods and connection sums are (n, p) exponent-count matrices; they are
 folded to the power basis in numpy, one subtraction for all rows, and each
-row becomes a CyclotomicInteger from a tuple of Python ints.
+row becomes a CyclotomicInteger from a tuple of Python ints, wrapped
+without the constructor's per-coefficient type check.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class CyclotomicInteger:
     For p = 2 this degenerates to a plain integer (basis {1}).
     Instances are immutable and hashable.  Coefficients are stored as
     Python ints; other integer types (numpy ints, bool) are converted.
+    Elements add, subtract, negate and conjugate; there is no product.
     """
 
     __slots__ = ("p", "coeffs")
@@ -58,6 +60,13 @@ class CyclotomicInteger:
         self.p = p
         self.coeffs = coeffs
 
+    @classmethod
+    def _of(cls, p: int, coeffs: tuple[int, ...]) -> "CyclotomicInteger":
+        """Wrap p - 1 Python ints built in this module, skipping __init__'s checks."""
+        z = object.__new__(cls)
+        z.p, z.coeffs = p, coeffs
+        return z
+
     # construction helpers
 
     @classmethod
@@ -67,7 +76,7 @@ class CyclotomicInteger:
         if len(counts) != p:
             raise ValueError(f"need {p} exponent counts for p = {p}")
         top = counts[p - 1]
-        return cls(p, tuple(counts[j] - top for j in range(p - 1)))
+        return cls._of(p, tuple(counts[j] - top for j in range(p - 1)))
 
     @classmethod
     def from_int(cls, p: int, n: int) -> "CyclotomicInteger":
@@ -79,40 +88,18 @@ class CyclotomicInteger:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicInteger(self.p, tuple(map(operator.add, self.coeffs, other.coeffs)))
+        return CyclotomicInteger._of(self.p, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicInteger(self.p, tuple(map(operator.neg, self.coeffs)))
+        return CyclotomicInteger._of(self.p, tuple(map(operator.neg, self.coeffs)))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other if isinstance(other, (int, CyclotomicInteger)) else NotImplemented
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.p
-        a = _shifted_counts(self.coeffs)
-        b = _shifted_counts(other.coeffs)
-        nb = ((max(1, max(a)) * max(1, max(b)) * p).bit_length() + 7) // 8
-        prod = _pack(a, nb) * _pack(b, nb)
-        raw = prod.to_bytes(nb * (2 * p - 1), "little")
-        conv = [int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb)]
-        counts = [conv[j] + conv[j + p] for j in range(p - 1)] + [conv[p - 1]]
-        return CyclotomicInteger.from_exponent_counts(p, counts)
-
-    __rmul__ = __mul__
+        return -self + other
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicInteger):
@@ -157,25 +144,34 @@ class CyclotomicInteger:
             counts[(-j) % p] += c
         return CyclotomicInteger.from_exponent_counts(p, counts)
 
+    def quadratic_coordinates(self) -> tuple[int, int] | None:
+        """(u, v) with self = u + v*eta0 if self lies in Q(sqrt(p*)), else None; (c_0, 0) for p = 2.
+
+        eta0 is the sum of xi^t over the nonzero squares t.  xi -> xi^s, s a square, fixes exactly
+        that subfield and permutes the exponents 1..p-1, so self lies in it iff its exponent counts
+        are some a on the squares and some b on the non-squares: self = c_0 - b + (a - b) eta0.
+        """
+        p = self.p
+        if p == 2:
+            return self.coeffs[0], 0
+        # Python ints in an object array: as fast here as int64, and exact at any size
+        counts = np.array(self.coeffs + (0,), dtype=object)
+        square = np.zeros(p, dtype=bool)
+        square[np.arange(1, (p + 1) // 2, dtype=np.int64) ** 2 % p] = True
+        a, b = counts[square], counts[1:][~square[1:]]
+        if (a != a[0]).any() or (b != b[0]).any():
+            return None
+        return counts[0] - b[0], a[0] - b[0]
+
     def complex_embedding(self) -> complex:
         """Numeric value under xi_p = exp(2*pi*i/p); for cross-checks only."""
         xs = np.exp(2j * np.pi * np.arange(self.p - 1) / self.p)
         return complex(np.dot(np.array(self.coeffs, dtype=np.float64), xs))
 
 
-def _shifted_counts(coeffs: tuple[int, ...]) -> list[int]:
-    """The p exponent counts of a power-basis element, shifted to be nonnegative."""
-    low = min(0, min(coeffs))
-    return [c - low for c in coeffs] + [-low]
-
-
-def _pack(counts: list[int], nb: int) -> int:
-    return int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in counts), "little")
-
-
 def _fold_rows(p: int, counts: np.ndarray) -> list[CyclotomicInteger]:
     """One element per row of an (n, p) exponent-count matrix, folded in one pass."""
-    return [CyclotomicInteger(p, tuple(row)) for row in (counts[:, :-1] - counts[:, -1:]).tolist()]
+    return [CyclotomicInteger._of(p, tuple(row)) for row in (counts[:, :-1] - counts[:, -1:]).tolist()]
 
 
 class ClassMap:

@@ -60,9 +60,7 @@ class SearchReport:
     rejections: tuple[tuple[tuple[int, ...], tuple[str, ...]], ...]
 
     def hit_keys(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            (c.p, c.p1) if c.p2 is None else (c.p, c.p1, c.p2) for c in self.hits
-        )
+        return tuple((c.p, c.p1) if c.p2 is None else (c.p, c.p1, c.p2) for c in self.hits)
 
     def rejection_reasons(self, *key: int) -> tuple[str, ...]:
         for cand, reasons in self.rejections:
@@ -169,15 +167,10 @@ class NamedExample:
         return predicted_spectrum_two_primes(self.p, self.p1, self.p2, self.m)
 
 
-def _canonical_classes(p1: int, p2: int | None, m: int) -> tuple[int, ...]:
-    step = 1 if p2 is None else p2
-    return tuple(step * i for i in range(p1 ** (m - 1)))
-
-
 def _example(name: str, p: int, p1: int, p2: int | None, m: int) -> NamedExample:
-    n = p1**m * (1 if p2 is None else p2)
+    n = p1**m * (p2 or 1)
     f = euler_phi(n) // 2
-    return NamedExample(name, p, p1, p2, m, f, n, _canonical_classes(p1, p2, m))
+    return NamedExample(name, p, p1, p2, m, f, n, tuple((p2 or 1) * i for i in range(p1 ** (m - 1))))
 
 
 NAMED_EXAMPLES: dict[str, NamedExample] = {
@@ -217,29 +210,18 @@ class ExampleReport:
 
     def to_json_dict(self) -> dict:
         ex = self.example
-        inputs = {
-            "p": ex.p,
-            "p1": ex.p1,
-            "p2": ex.p2,
-            "m": ex.m,
-            "N": ex.n,
-            "D": list(ex.classes),
-        }
+        inputs = {"p": ex.p, "p1": ex.p1, "p2": ex.p2, "m": ex.m, "N": ex.n, "D": list(ex.classes)}
         return {
             "name": ex.name,
             "ok": self.ok,
             "q": self.q,
             "k": self.k,
             "spectrum": list(self.spectrum),
-            "predicted_spectrum": None
-            if self.predicted_values is None
-            else list(self.predicted_values),
+            "predicted_spectrum": None if self.predicted_values is None else list(self.predicted_values),
             "predicted_matches": self.predicted_matches,
             "oracle_ran": self.oracle_ran,
             "oracle_agrees": self.oracle_agrees,
-            "certificate": None
-            if self.certificate is None
-            else self.certificate.to_json_dict(inputs=inputs),
+            "certificate": None if self.certificate is None else self.certificate.to_json_dict(inputs=inputs),
         }
 
 
@@ -265,9 +247,7 @@ def verify_named_example(name: str) -> ExampleReport:
     k = ex.k
     cert = srg_from_spectrum(field.q, k, sums, source="COMPUTED")
     predicted = ex.predicted()
-    predicted_values = (
-        tuple(predicted.integer_values()) if predicted.integral else None
-    )
+    predicted_values = tuple(predicted.integer_values()) if predicted.integral else None
     predicted_matches = (
         cert is not None
         and predicted_values is not None
@@ -275,21 +255,10 @@ def verify_named_example(name: str) -> ExampleReport:
         and predicted.k == k
         and set(predicted_values) == {cert.r, cert.s}
     )
-    oracle_ran = False
-    oracle_agrees = None
-    if field.q <= _ORACLE_Q_CAP:
-        oracle_ran = True
-        oracle_agrees = certificates_agree(cert, difference_count_oracle(cm, ex.classes))
+    oracle_ran = field.q <= _ORACLE_Q_CAP
+    oracle_agrees = certificates_agree(cert, difference_count_oracle(cm, ex.classes)) if oracle_ran else None
     ok = cert is not None and predicted_matches and oracle_agrees is not False
     return ExampleReport(
-        example=ex,
-        q=field.q,
-        k=k,
-        spectrum=spectrum,
-        certificate=cert,
-        predicted_values=predicted_values,
-        predicted_matches=predicted_matches,
-        oracle_ran=oracle_ran,
-        oracle_agrees=oracle_agrees,
-        ok=ok,
+        example=ex, q=field.q, k=k, spectrum=spectrum, certificate=cert, predicted_values=predicted_values,
+        predicted_matches=predicted_matches, oracle_ran=oracle_ran, oracle_agrees=oracle_agrees, ok=ok,
     )

@@ -17,13 +17,15 @@ routes are implemented:
   quadratic Gauss sum certificate (b, c, h0).
 
 A conference-graph spectrum (two conjugate irrational eigenvalues) is
-accepted when r+s and r*s are rational integers; r, s, mult_r, mult_s stay
+accepted when r+s and r*s are rational integers, which srg_from_spectrum
+decides in the quadratic subfield of Q(xi_p); r, s, mult_r, mult_s stay
 None in that case and the irrational flag is set.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,6 +151,20 @@ def _exact(v) -> int | CyclotomicInteger:
     return v.to_int() if v.is_rational_integer else v
 
 
+def _sum_product(x: CyclotomicInteger, y: CyclotomicInteger) -> tuple[int, int] | None:
+    """(x + y, x y) when both are rational integers, read off Q(sqrt(p*)); else None."""
+    if x.p != y.p:
+        raise ValueError("mixed cyclotomic orders")
+    xc, yc = x.quadratic_coordinates(), y.quadratic_coordinates()
+    if xc is None or yc is None:
+        return None
+    (xu, xv), (yu, yv) = xc, yc
+    if xv + yv or xu * yv + yu * xv - xv * yv:
+        return None
+    p_star = x.p if x.p % 4 == 1 else -x.p
+    return xu + yu, xu * yu + xv * yv * ((p_star - 1) // 4)
+
+
 def srg_from_spectrum(v: int, k: int, values, source: str = "SPECTRUM") -> SrgCertificate | None:
     """Certificate from the exact multiset of restricted eigenvalues.
 
@@ -156,6 +172,15 @@ def srg_from_spectrum(v: int, k: int, values, source: str = "SPECTRUM") -> SrgCe
     None unless there are exactly two distinct values whose sum and product
     are rational integers and every integrality and feasibility identity
     holds.
+
+    Two irrational values x, y with x + y and x y rational are roots of one
+    rational quadratic, so both lie in the one quadratic subfield
+    Q(sqrt(p*)), p* = (-1)^((p-1)/2) p, of Q(xi_p).  There x = u + v eta0 and
+    y = u' + v' eta0, where eta0, the sum of xi^t over the nonzero squares t,
+    satisfies eta0^2 = -eta0 + (p* - 1)/4 (Gauss).  Hence x + y and x y are
+    rational exactly when v + v' = 0 and u v' + u' v - v v' = 0, and then
+    x + y = u + u' and x y = u u' + v v' (p* - 1)/4.  Values outside the
+    subfield, or one rational and one irrational value, give None.
     """
     if not 1 <= k <= v - 1:
         raise ValueError(f"valency k = {k} must lie in [1, v-1] for v = {v}")
@@ -167,11 +192,13 @@ def srg_from_spectrum(v: int, k: int, values, source: str = "SPECTRUM") -> SrgCe
         r, s = max(x, y), min(x, y)
         e1, e2 = r + s, r * s
         irrational = False
+    elif isinstance(x, int) or isinstance(y, int):
+        return None
     else:
-        e1z, e2z = x + y, x * y
-        if not (e1z.is_rational_integer and e2z.is_rational_integer):
+        e12 = _sum_product(x, y)
+        if e12 is None:
             return None
-        e1, e2 = e1z.to_int(), e2z.to_int()
+        e1, e2 = e12
         irrational = True
     mu = k + e2
     lam = mu + e1
@@ -552,6 +579,7 @@ def pair_family_check(p: int, p1: int, *, tables: ScanTables | None = None) -> F
     h = h(Q(sqrt(-p1))).  Then b, c = +-1 and the spectrum is two-valued
     for every m.
     """
+    p, p1 = operator.index(p), operator.index(p1)
     reasons, h = _pair_reasons(p, p1, tables or ScanTables())
     return FamilyCheck(p, p1, None, reasons, h=h) if reasons else _pair_hit(p, p1, h)
 
@@ -596,5 +624,6 @@ def triple_family_check(p: int, p1: int, p2: int, *, tables: ScanTables | None =
     p1 p2 = (R - 1)(R + 1) with R = 2 p^{h/2} >= 4 forces {p1, p2} = {R - 1, R + 1},
     so b = e (p1 - R) = +-1 with e = (-1)^{(p1-1)/2}.
     """
+    p, p1, p2 = operator.index(p), operator.index(p1), operator.index(p2)
     reasons, h = _triple_reasons(p, p1, p2, tables or ScanTables())
     return FamilyCheck(p, p1, p2, reasons, h=h) if reasons else _triple_hit(p, p1, p2, h)

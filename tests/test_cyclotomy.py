@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cyclosrg.cyclotomy import ClassMap, CyclotomicInteger, classify
 from cyclosrg.finite_field import build_field
 from cyclosrg.ntheory import divisors, is_prime
+from cyclosrg.srg_engine import _sum_product, srg_from_spectrum
 
 from conftest import get_field
 
@@ -28,33 +29,53 @@ def test_ring_canonical_fold():
     assert z.coeffs == (-1, -1, -1, -1)
 
 
+def _reference_mul(a, b):
+    # schoolbook product in Z[xi_p], one coefficient pair at a time; the ring
+    # has no product of its own, so this is the reference for every product
+    p = a.p
+    counts = [0] * p
+    for i, ai in enumerate(a.coeffs):
+        if ai:
+            for j, bj in enumerate(b.coeffs):
+                counts[(i + j) % p] += ai * bj
+    return CyclotomicInteger.from_exponent_counts(p, counts)
+
+
 def test_ring_ops_small():
     xi = CyclotomicInteger(3, (0, 1))  # xi_3
-    assert xi * xi == CyclotomicInteger.from_exponent_counts(3, [0, 0, 1])
-    assert xi * xi * xi == 1
-    assert (1 + xi + xi * xi) == 0
+    xi2 = CyclotomicInteger.from_exponent_counts(3, [0, 0, 1])
+    assert _reference_mul(xi, xi) == xi2
+    assert _reference_mul(xi, xi2) == 1
+    assert (1 + xi + xi2) == 0
     assert (xi - xi) == 0
-    assert (2 * xi + xi) == 3 * xi
+    assert (xi + xi + xi) - xi == CyclotomicInteger(3, (0, 2))
+    assert -xi == CyclotomicInteger(3, (0, -1)) and 2 - xi == CyclotomicInteger(3, (2, -1))
     # norm of 1 - xi_3 is 3
     z = 1 - xi
-    assert z * z.conjugate() == 3
+    assert _reference_mul(z, z.conjugate()) == 3
+    with pytest.raises(TypeError):
+        xi * xi
+    with pytest.raises(TypeError):
+        2 * xi
 
 
 def test_ring_p2_degenerates_to_int():
     a = CyclotomicInteger.from_int(2, 7)
     b = CyclotomicInteger.from_int(2, -3)
     assert (a + b).to_int() == 4
-    assert (a * b).to_int() == -21
+    assert (a - b).to_int() == 10 and (-a).to_int() == -7
     assert a.conjugate() == a
+    assert a.quadratic_coordinates() == (7, 0)
 
 
 def test_ring_mul_matches_numeric_embedding():
+    # the reference product agrees with the product of the complex embeddings
     rng = random.Random(5)
     for p in (2, 3, 5, 7, 11):
         for _ in range(20):
             a = CyclotomicInteger(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
             b = CyclotomicInteger(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
-            lhs = (a * b).complex_embedding()
+            lhs = _reference_mul(a, b).complex_embedding()
             rhs = a.complex_embedding() * b.complex_embedding()
             assert abs(lhs - rhs) < 1e-9
 
@@ -66,42 +87,78 @@ def test_ring_conjugation_is_involution_and_multiplicative():
             a = CyclotomicInteger(p, tuple(rng.randint(-5, 5) for _ in range(p - 1)))
             b = CyclotomicInteger(p, tuple(rng.randint(-5, 5) for _ in range(p - 1)))
             assert a.conjugate().conjugate() == a
-            assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+            assert _reference_mul(a, b).conjugate() == _reference_mul(a.conjugate(), b.conjugate())
             assert abs(a.conjugate().complex_embedding() - a.complex_embedding().conjugate()) < 1e-9
 
 
-def _reference_mul(a, b):
-    # schoolbook product in Z[xi_p], one coefficient pair at a time
-    p = a.p
-    counts = [0] * p
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j, bj in enumerate(b.coeffs):
-                counts[(i + j) % p] += ai * bj
-    return CyclotomicInteger.from_exponent_counts(p, counts)
+_PRIMES_48 = [p for p in range(2, 48) if is_prime(p)]
+_BOUNDS = [0, 1, 9, 2**31, 2**62, 10**30]
+
+
+def _quadratic_element(p, u, v):
+    # u + v*eta0 in exponent counts: u at 0, v on the nonzero squares
+    squares = {t * t % p for t in range(1, p)}
+    return CyclotomicInteger.from_exponent_counts(p, [u] + [v if t in squares else 0 for t in range(1, p)])
 
 
 @st.composite
 def _ring_pairs(draw):
-    p = draw(st.sampled_from([p for p in range(2, 48) if is_prime(p)]))
-    bound = draw(st.sampled_from([0, 1, 9, 2**31, 2**62, 10**30]))
+    p = draw(st.sampled_from(_PRIMES_48))
+    bound = draw(st.sampled_from(_BOUNDS))
     coeffs = st.lists(st.integers(-bound, bound), min_size=p - 1, max_size=p - 1).map(tuple)
     return CyclotomicInteger(p, draw(coeffs)), CyclotomicInteger(p, draw(coeffs))
 
 
+@st.composite
+def _subfield_pairs(draw):
+    # two elements u + v eta0, u' + v' eta0 of Q(sqrt(p*)): v' = -v makes x + y
+    # rational, and u' = u - v then makes x y rational too; v' = v with
+    # u' = v - u makes x y rational but not x + y (unless v = 0)
+    p = draw(st.sampled_from([p for p in _PRIMES_48 if p > 2]))
+    bound = draw(st.sampled_from(_BOUNDS))
+    u, v = draw(st.integers(-bound, bound)), draw(st.integers(-bound, bound))
+    mode = draw(st.sampled_from(["both", "sum", "product"]))
+    if mode == "product":
+        return _quadratic_element(p, u, v), _quadratic_element(p, v - u, v)
+    u2 = u - v if mode == "both" else draw(st.integers(-bound, bound))
+    return _quadratic_element(p, u, v), _quadratic_element(p, u2, -v)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from([p for p in _PRIMES_48 if p > 3]), st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+       st.integers(1, 46), st.integers(-10**30, 10**30).filter(bool))
+def test_quadratic_coordinates_recover_subfield_elements(p, u, v, t, delta):
+    x = _quadratic_element(p, u, v)
+    assert x.quadratic_coordinates() == (u, v)
+    # moving one exponent count breaks the constancy on its coset (p > 3: cosets of size >= 2)
+    counts = [0] * p
+    counts[t % (p - 1) + 1] = delta
+    assert (x + CyclotomicInteger.from_exponent_counts(p, counts)).quadratic_coordinates() is None
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(_ring_pairs())
-def test_ring_mul_matches_schoolbook(pair):
-    a, b = pair
-    assert a * b == _reference_mul(a, b)
-    assert b * a == a * b
+@given(st.one_of(_ring_pairs(), _subfield_pairs()))
+def test_subfield_sum_product_matches_schoolbook(pair):
+    # the subfield route of srg_from_spectrum against the schoolbook x + y, x y
+    x, y = pair
+    total, product = x + y, _reference_mul(x, y)
+    want = None
+    if total.is_rational_integer and product.is_rational_integer:
+        want = (total.to_int(), product.to_int())
+    assert _sum_product(x, y) == want
+    assert _sum_product(y, x) == want
 
 
-def test_ring_mul_paley_large_p():
-    # Paley graph on F_p, p = 1 mod 4: eta_0 * eta_1 = (1 - p) / 4
+def test_paley_certificate_large_p():
+    # Paley graph on F_p, p = 1 mod 4: eta_0 + eta_1 = -1, eta_0 * eta_1 = (1 - p) / 4
     p = 32749
     eta0, eta1 = classify(build_field(p, 1), 2).periods()
-    assert eta0 * eta1 == (1 - p) // 4
+    coords = eta0.quadratic_coordinates(), eta1.quadratic_coordinates()
+    assert coords == ((0, 1), (-1, -1)) and all(type(c) is int for uv in coords for c in uv)
+    assert _sum_product(eta0, eta1) == (-1, (1 - p) // 4)
+    cert = srg_from_spectrum(p, (p - 1) // 2, [eta0, eta1])
+    assert cert.parameters() == (p, (p - 1) // 2, (p - 5) // 4, (p - 1) // 4)
+    assert cert.irrational and cert.mult_r == cert.mult_s == (p - 1) // 2
 
 
 def test_ring_constructor_normalizes_to_int():
@@ -110,6 +167,9 @@ def test_ring_constructor_normalizes_to_int():
         assert z.coeffs == (2, 1)
         assert all(type(c) is int for c in z.coeffs)
         assert z == CyclotomicInteger(3, (2, 1)) and hash(z) == hash(CyclotomicInteger(3, (2, 1)))
+        # results of ring operations skip the check, so their inputs must already be ints
+        for w in (z + z, -z, z - 1, 1 - z, z.conjugate()):
+            assert all(type(c) is int for c in w.coeffs)
     assert CyclotomicInteger(2, (np.int64(-4),)) == -4
     assert json.dumps(CyclotomicInteger(5, (False, np.int16(-3), 7, np.uint64(2))).coeffs) == "[0, -3, 7, 2]"
 
@@ -213,7 +273,7 @@ def test_period_norm_sum_identity():
         cm = classify(fld, N)
         total = CyclotomicInteger.from_int(p, 0)
         for eta in cm.periods():
-            total = total + eta * eta.conjugate()
+            total = total + _reference_mul(eta, eta.conjugate())
         assert total == (fld.q * (N - 1) + 1) // N, (p, f, N)
 
 

@@ -84,6 +84,21 @@ def test_spectrum_conference_paley5():
     assert cert.mult_r == cert.mult_s == 2
 
 
+def test_spectrum_mixed_orders_and_mixed_kinds():
+    # two irrational values from different Z[xi_p] are an error, not a verdict
+    eta5 = classify(get_field(5, 1), 2).periods()[0]
+    eta13 = classify(get_field(13, 1), 2).periods()[0]
+    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+        srg_from_spectrum(5, 2, [eta5, eta13])
+    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+        srg_from_spectrum(13, 6, [eta13, eta5])
+    # one rational and one irrational value: sum and product are irrational
+    for vals in ([eta5, -1], [2, eta5], [CyclotomicInteger.from_int(13, 1), eta5]):
+        assert srg_from_spectrum(5, 2, vals) is None
+    # a rational integer of another order is just an integer
+    assert srg_from_spectrum(16, 5, [CyclotomicInteger.from_int(3, 1), CyclotomicInteger.from_int(7, -3)]).parameters() == (16, 5, 0, 2)
+
+
 def test_spectrum_input_validation():
     with pytest.raises(ValueError, match="lie in"):
         srg_from_spectrum(16, 16, [1, -1])
@@ -410,6 +425,17 @@ def test_pair_family_known_hits():
         assert check.ok, (p, p1, check.reasons)
         assert check.b == (1 if p1 % 8 == 3 else -1)
         assert 1 + p1 == 4 * p**check.h
+
+
+def test_family_checks_take_numpy_integers():
+    for args in [(2, 7), (2, 11), (5, 499), (2, 15)]:
+        assert pair_family_check(*map(np.int64, args)) == pair_family_check(*args)
+    for args in [(2, 3, 5), (3, 17, 19), (2, 7, 3), (2, 9, 5)]:
+        assert triple_family_check(*map(np.int64, args)) == triple_family_check(*args)
+    check = triple_family_check(np.int64(2), np.int32(3), np.uint16(5))
+    assert check.ok and all(type(n) is int for n in (check.p, check.p1, check.p2))
+    with pytest.raises(TypeError):
+        pair_family_check(2.0, 7)
 
 
 def test_pair_family_rejections():

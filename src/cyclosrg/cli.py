@@ -8,8 +8,10 @@ checked-false answer (for example a union that is not strongly regular),
 check (AssertionError) or sign resolution (ArithmeticError), reported as one
 ``internal error:`` line on stderr.
 
-Each handler returns (payload, tsv lines, pretty lines, exit code).  The tsv
-of a record is one ``key<TAB>value`` line per top-level payload field, the
+Each handler returns (payload, tsv renderer, pretty renderer, exit code).
+The renderers take no argument and return the output lines; ``main`` calls
+only the one of the format it prints, and json calls neither.  The tsv of a
+record is one ``key<TAB>value`` line per top-level payload field, the
 certificate left to json; the tsv of a table is a header line and one line
 per row.  Pretty output is prose written per command.  The scan handlers
 build their payload, one entry per rejected candidate, only for json and
@@ -81,21 +83,25 @@ def _classes_arg(text: str) -> tuple[int, ...]:
 
 def _cmd_build_field(args):
     fld = build_field(args.p, args.f, modulus=args.modulus)
-    data = {"p": fld.p, "f": fld.f, "q": fld.q, "modulus": list(fld.modulus), "gamma": fld.gamma,
-            "gamma_trace": fld.trace_of(fld.gamma)}
-    tsv = _records(data)
-    pretty = [
-        f"field with q = {fld.p}^{fld.f} = {fld.q}",
-        f"modulus coefficients (low to high): {_cell(data['modulus'])}",
-        f"generator gamma = {fld.gamma}, trace(gamma) = {data['gamma_trace']}",
-    ]
+    summary = {"p": fld.p, "f": fld.f, "q": fld.q, "modulus": list(fld.modulus), "gamma": fld.gamma,
+               "gamma_trace": fld.trace_of(fld.gamma)}
+    data = dict(summary)
     if args.dump_tables:
         rows = np.column_stack((np.arange(fld.q - 1), fld.antilog, fld.trace[fld.antilog]))
         data["table"] = rows.tolist()
-        table = _table(("i", "element", "trace"), data["table"])
-        tsv += table
-        pretty += [line.replace("\t", " ") for line in table]
-    return data, tsv, pretty, 0
+
+    def table():
+        return _table(("i", "element", "trace"), data["table"]) if args.dump_tables else []
+
+    def pretty():
+        return [
+            f"field with q = {fld.p}^{fld.f} = {fld.q}",
+            f"modulus coefficients (low to high): {_cell(data['modulus'])}",
+            f"generator gamma = {fld.gamma}, trace(gamma) = {data['gamma_trace']}",
+            *(line.replace("\t", " ") for line in table()),
+        ]
+
+    return data, lambda: _records(summary) + table(), pretty, 0
 
 
 def _cmd_periods(args):
@@ -107,19 +113,28 @@ def _cmd_periods(args):
         integer = eta.to_int() if eta.is_rational_integer else None
         rows.append({"a": a, "integer": integer, "coeffs": list(eta.coeffs), "re": z.real, "im": z.imag})
     data = {"p": fld.p, "f": fld.f, "n": cm.N, "class_size": cm.class_size, "periods": rows}
-    tsv = _table(rows[0], (r.values() for r in rows))
-    pretty = [f"q = {fld.q}, N = {cm.N}, class size {cm.class_size}"]
-    for r in rows:
-        if r["integer"] is not None:
-            pretty.append(f"eta_{r['a']} = {r['integer']}")
-        else:
-            pretty.append(f"eta_{r['a']} = coeffs {r['coeffs']} ~ {r['re']:+.6f}{r['im']:+.6f}i")
     if args.tally:
         data["tally"] = cm.tally.tolist()
-        header = ["class", *(f"trace_{t}" for t in range(fld.p))]
-        tsv += _table(header, ([a, *row] for a, row in enumerate(data["tally"])))
-        pretty.append("tally rows (class x trace value):")
-        pretty += [f"  {a}: {row}" for a, row in enumerate(data["tally"])]
+
+    def tsv():
+        lines = _table(rows[0], (r.values() for r in rows))
+        if args.tally:
+            header = ["class", *(f"trace_{t}" for t in range(fld.p))]
+            lines += _table(header, ([a, *row] for a, row in enumerate(data["tally"])))
+        return lines
+
+    def pretty():
+        lines = [f"q = {fld.q}, N = {cm.N}, class size {cm.class_size}"]
+        for r in rows:
+            if r["integer"] is not None:
+                lines.append(f"eta_{r['a']} = {r['integer']}")
+            else:
+                lines.append(f"eta_{r['a']} = coeffs {r['coeffs']} ~ {r['re']:+.6f}{r['im']:+.6f}i")
+        if args.tally:
+            lines.append("tally rows (class x trace value):")
+            lines += [f"  {a}: {row}" for a, row in enumerate(data["tally"])]
+        return lines
+
     return data, tsv, pretty, 0
 
 
@@ -143,21 +158,26 @@ def _cmd_verify_srg(args):
         "oracle_ran": args.oracle,
         "oracle_agrees": None,
     }
-    pretty = [
-        f"Cay(F_{fld.q}, union of classes {_cell(D)} of {cm.N})",
-        f"distinct connection sums: {data['spectrum']}",
-    ]
-    if cert is None:
-        pretty.append("not strongly regular")
-    else:
-        pretty.append(_srg_line(cert, f"eigenvalues r = {cert.r}, s = {cert.s}"))
-        if cert.degenerate:
-            pretty.append("degenerate: mu = 0 (disjoint cliques)")
     if args.oracle:
         data["oracle_agrees"] = certificates_agree(cert, difference_count_oracle(cm, D))
-        pretty.append(f"difference-count oracle agrees: {data['oracle_agrees']}")
+
+    def pretty():
+        lines = [
+            f"Cay(F_{fld.q}, union of classes {_cell(D)} of {cm.N})",
+            f"distinct connection sums: {data['spectrum']}",
+        ]
+        if cert is None:
+            lines.append("not strongly regular")
+        else:
+            lines.append(_srg_line(cert, f"eigenvalues r = {cert.r}, s = {cert.s}"))
+            if cert.degenerate:
+                lines.append("degenerate: mu = 0 (disjoint cliques)")
+        if args.oracle:
+            lines.append(f"difference-count oracle agrees: {data['oracle_agrees']}")
+        return lines
+
     ok = data["ok"] and data["oracle_agrees"] is not False
-    return data, _records(data), pretty, 0 if ok else 1
+    return data, lambda: _records(data), pretty, 0 if ok else 1
 
 
 def _cmd_verify_example(args):
@@ -174,7 +194,7 @@ def _cmd_verify_example(args):
     else:
         pretty.append("difference-count oracle skipped (field above the size policy)")
     data = rep.to_json_dict()
-    return data, _records(data), pretty, 0 if rep.ok else 1
+    return data, lambda: _records(data), lambda: pretty, 0 if rep.ok else 1
 
 
 def _cmd_gauss_semiprimitive(args):
@@ -184,7 +204,7 @@ def _cmd_gauss_semiprimitive(args):
         f"semi-primitive Gauss sum over F_{args.p}^{args.f} at character order {args.n}",
         f"g = {g.sign:+d} * {g.p}^{g.r // 2} = {g.value()}  (t = {g.t}, s = {g.s})",
     ]
-    return data, _records(data), pretty, 0
+    return data, lambda: _records(data), lambda: pretty, 0
 
 
 def _cmd_gauss_index2(args):
@@ -202,12 +222,12 @@ def _cmd_gauss_index2(args):
         f"g = (({g.b:+d} + c*sqrt(-{g.delta}))/2) * {args.p}^{g.h0}"
         f" with |c| = {g.c_abs}, class number h = {g.h}",
     ]
-    return data, _records(data), pretty, 0
+    return data, lambda: _records(data), lambda: pretty, 0
 
 
 def _cmd_class_number(args):
     data = {"d": args.d, "h": class_number(args.d)}
-    return data, _table(data, [data.values()]), [str(data["h"])], 0
+    return data, lambda: _table(data, [data.values()]), lambda: [str(data["h"])], 0
 
 
 def _cmd_scan(args):
@@ -217,13 +237,18 @@ def _cmd_scan(args):
     else:
         report = scan_triples(args.p_max, args.n_max)
         title = f"triple scan p <= {args.p_max}, p1*p2 <= {args.n_max}"
-    rows = [
-        (c.p, c.p1, c.p2, c.h, c.b, c.f1, f"({c.p}^f-1)/{c.p1 * (c.p2 or 1)}", c.r_formula, c.s_formula)
-        for c in report.hits
-    ]
-    tsv = _table(("p", "p1", "p2", "h", "b", "f", "k", "r", "s"), rows)
-    pretty = [f"{title}: {len(report.hits)} hits, {len(report.rejections)} rejections"]
-    pretty += [line.replace("\t", "  ") for line in tsv]
+
+    def tsv():
+        rows = [
+            (c.p, c.p1, c.p2, c.h, c.b, c.f1, f"({c.p}^f-1)/{c.p1 * (c.p2 or 1)}", c.r_formula, c.s_formula)
+            for c in report.hits
+        ]
+        return _table(("p", "p1", "p2", "h", "b", "f", "k", "r", "s"), rows)
+
+    def pretty():
+        head = f"{title}: {len(report.hits)} hits, {len(report.rejections)} rejections"
+        return [head, *(line.replace("\t", "  ") for line in tsv())]
+
     return report.to_json_dict() if args.format == "json" else None, tsv, pretty, 0
 
 
@@ -322,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "json":
         print(json.dumps(data, sort_keys=True))
     else:
-        print("\n".join(tsv if args.format == "tsv" else pretty))
+        print("\n".join((tsv if args.format == "tsv" else pretty)()))
     return code
 
 

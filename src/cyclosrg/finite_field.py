@@ -7,14 +7,15 @@ irreducible polynomial of degree f over Z/pZ.  Encodings run over
 
 Construction is deterministic: the modulus is the lexicographically smallest
 monic irreducible (coefficients compared low degree first) and the generator
-gamma is the smallest encoding that is primitive.  Multiplication by a fixed
-c is F_p-linear in the digits, an f x f matrix whose rows c * x**i come from
-shift and reduce.  The antilog table is filled by doubling: the block
-[s, 2s) is gamma**s times the block [0, s).  Odd p applies that matrix to a
-(q-1, f) digit array with one product per block; p = 2 applies it to the
-encodings, which are bit vectors, through XOR tables of 256 entries per
-byte.  The trace is F_p-linear too, so its table is an outer sum over the
-digits.  After construction all arithmetic is table driven:
+gamma is the smallest encoding that is primitive.  The antilog table is
+filled by doubling: the block [s, 2s) is gamma**s times the block [0, s).
+Every step works on encodings.  At f = 1 it is x * c % p.  For f >= 2,
+multiplication by c is F_p-linear in the digits, with rows c * x**i from
+shift and reduce; each chunk of an encoding's digits looks up the packed
+image of that chunk, and the chunk images are XORed (p = 2) or added and
+reduced slot by slot (odd p).  The trace is F_p-linear too: an XOR doubling
+at p = 2 and an outer sum over the digits at odd p.  After construction all
+arithmetic is table driven:
 
     antilog[i] = encoding of gamma**i          (length q-1)
     log[x]     = i with antilog[i] == x        (length q, log[0] == -1)
@@ -158,46 +159,118 @@ def _mul_rows(c: list[int], mod_low: tuple[int, ...], p: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _xor_mul(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """out = encodings x under the F_2-linear map with digit rows ``rows``, one byte at a time."""
-    f = len(rows)
-    row_enc = rows @ (1 << np.arange(f, dtype=np.int64))
-    out[:] = 0
-    for j in range(0, f, 8):
-        byte_table = np.zeros(1, dtype=np.int64)
-        for r in row_enc[j : j + 8]:
-            byte_table = np.concatenate((byte_table, byte_table ^ r))
-        out ^= byte_table[(x >> j) & 255]
+# a chunk of digits indexes a table of at most this many images
+_CHUNK_VALUES = 2048
+
+
+def _slot_layout(p: int, f: int) -> tuple[int, int, int]:
+    """(k, m, w) for f >= 2: m chunks of at most k digits, p**k <= _CHUNK_VALUES, and w-bit slots.
+
+    Chunks have equal width except perhaps the last.  A slot holds one image
+    digit; odd p adds m chunk images, so a slot must hold m * (p - 1), while
+    p = 2 combines by XOR and needs one bit.  The f slots share one int64.
+    """
+    k_max = 1
+    while p ** (k_max + 1) <= _CHUNK_VALUES:
+        k_max += 1
+    m = -(-f // k_max)
+    k = -(-f // m)
+    w = 1 if p == 2 else (m * (p - 1)).bit_length()
+    if f * w > 63:
+        raise OverflowError(f"{f} slots of {w} bits do not fit in an int64")
+    return k, m, w
+
+
+class _LinearMap:
+    """Apply F_p-linear maps of F_{p^f} (f >= 2) to arrays of encodings.
+
+    Each chunk of k digits indexes a table of its images, packed one digit
+    per w-bit slot.  p = 2 XORs the chunk images, which are then encodings.
+    Odd p adds them and reduces the slots mod p through decoders of at most
+    4096 entries.  The chunk images depend on the map; the layout, the chunk
+    digits and the decoders on (p, f) alone, so they are built once.
+    """
+
+    def __init__(self, p: int, f: int):
+        self.p = p
+        self.k, m, self.w = _slot_layout(p, f)
+        self.widths = [min(self.k, f - j * self.k) for j in range(m)]
+        self.slot_place = np.left_shift(1, self.w * np.arange(f, dtype=np.int64))
+        if p == 2:
+            return
+        values = np.arange(p**self.k, dtype=np.int64)
+        self.chunk_digits = values[:, None] // p ** np.arange(self.k, dtype=np.int64) % p
+        # g slots per lookup: decoders[i][bits] is the encoding of slots
+        # g*i ... g*i + g - 1, each reduced mod p
+        g = max(1, 12 // self.w)
+        self.group_bits = g * self.w
+        bits = np.arange(1 << self.group_bits, dtype=np.int64)
+        low = np.zeros_like(bits)
+        for s in range(g):
+            low += ((bits >> (s * self.w)) & ((1 << self.w) - 1)) % p * p**s
+        self.decoders = [low * p ** (g * i) for i in range(-(-f // g))]
+
+    def _chunk_images(self, rows: np.ndarray) -> np.ndarray:
+        """Packed images of every value of a chunk whose digits map to ``rows``."""
+        if self.p > 2:
+            return self.chunk_digits[: self.p ** len(rows), : len(rows)] @ rows % self.p @ self.slot_place
+        images = np.zeros(1 << len(rows), dtype=np.int64)
+        for i, r in enumerate((rows @ self.slot_place).tolist()):
+            np.bitwise_xor(images[: 1 << i], r, out=images[1 << i : 2 << i])
+        return images
+
+    def apply(self, rows: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+        """out = images of the encodings x under the map with digit rows ``rows``."""
+        p, k, last = self.p, self.k, len(self.widths) - 1
+        images = [self._chunk_images(rows[j * k : j * k + width]) for j, width in enumerate(self.widths)]
+        if p == 2:
+            # mode="clip" writes straight into out, where the default mode buffers
+            np.take(images[0], x & ((1 << k) - 1), out=out, mode="clip")
+            for j in range(1, last + 1):
+                chunk = x >> (j * k)
+                if j < last:
+                    chunk &= (1 << k) - 1
+                out ^= images[j].take(chunk)
+            return
+        rest = x
+        for j in range(last + 1):
+            rest, chunk = np.divmod(rest, p**k) if j < last else (None, rest)
+            if j == 0:
+                acc = images[0].take(chunk)
+            else:
+                acc += images[j].take(chunk)
+        mask = (1 << self.group_bits) - 1
+        np.take(self.decoders[0], acc & mask, out=out, mode="clip")
+        for i, decoder in enumerate(self.decoders[1:], 1):
+            out += decoder.take((acc >> (i * self.group_bits)) & mask)
 
 
 def _antilog_table(p: int, f: int, q: int, mod_low: tuple[int, ...], gamma: int) -> np.ndarray:
     """gamma**i for i < q-1 by doubling: block [s, s+step) is gamma**s times block [0, step).
 
-    p = 2 works on the encodings, not on digits: a (q-1, f) digit array would
-    be f times larger (about 740 MB at 2^22).
+    Every step works on encodings: x * c % p at f = 1, else _LinearMap with
+    the digit rows of multiplication by c = gamma**s.
     """
     n = q - 1
-    if p == 2:
-        table = np.empty(n, dtype=np.int64)
-        table[0] = 1
-    else:
-        table = np.zeros((n, f), dtype=np.int64)
-        table[0, 0] = 1
+    table = np.empty(n, dtype=np.int64)
+    table[0] = 1
+    linear = _LinearMap(p, f) if f >= 2 else None
     c = list(_digits(gamma, p, f))
     size = 1
     while size < n:
         step = min(size, n - size)
-        rows = _mul_rows(c, mod_low, p)
         block = table[size : size + step]
-        if p == 2:
-            _xor_mul(table[:step], rows, block)
-        else:
-            np.matmul(table[:step], rows, out=block)
+        if linear is None:
+            np.multiply(table[:step], c[0], out=block)
             block %= p
-        # sizes double until the last step, so the next constant is c**2
-        c = (np.array(c, dtype=np.int64) @ rows % p).tolist()
+            c = [c[0] * c[0] % p]
+        else:
+            rows = _mul_rows(c, mod_low, p)
+            linear.apply(rows, table[:step], block)
+            # sizes double until the last step, so the next constant is c**2
+            c = (np.array(c, dtype=np.int64) @ rows % p).tolist()
         size += step
-    return table if p == 2 else table @ p ** np.arange(f, dtype=np.int64)
+    return table
 
 
 def _basis_traces(p: int, f: int, mod_low: tuple[int, ...]) -> list[int]:
@@ -212,7 +285,16 @@ def _basis_traces(p: int, f: int, mod_low: tuple[int, ...]) -> list[int]:
 
 
 def _trace_table(p: int, s: list[int]) -> np.ndarray:
-    """Trace of every encoding: an outer sum over digits, the last digit most significant."""
+    """Trace of every encoding from the basis traces s, the last digit most significant.
+
+    p = 2 doubles with XOR in uint8: block [2**i, 2**(i+1)) is block [0, 2**i)
+    plus s_i.  Odd p takes an outer sum over the digits.
+    """
+    if p == 2:
+        tr = np.zeros(1 << len(s), dtype=np.uint8)
+        for i, si in enumerate(s):
+            np.bitwise_xor(tr[: 1 << i], si, out=tr[1 << i : 2 << i])
+        return tr.astype(np.int64)
     digit = np.arange(p, dtype=np.int64)
     tr = np.zeros(1, dtype=np.int64)
     for si in s:

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from cyclosrg import finite_field
-from cyclosrg.finite_field import SIZE_CAP, FieldTable, _basis_traces, _digits, _poly_mul_mod, build_field
+from cyclosrg.finite_field import (
+    _CHUNK_VALUES,
+    SIZE_CAP,
+    FieldTable,
+    _basis_traces,
+    _digits,
+    _poly_mul_mod,
+    _slot_layout,
+    build_field,
+)
 from cyclosrg.ntheory import is_prime, prime_factors
 
 from conftest import get_field
@@ -202,8 +211,39 @@ def test_tables_match_slow_reference():
         assert np.array_equal(fld.trace, digits @ _basis_traces(p, f, mod_low) % p), (p, f)
 
 
-# sha256 of the little-endian int64 tables, as built before the tables were
-# built by F_p-linear maps
+def test_slot_layout_fits_in_an_int64():
+    # the layout alone, for every field with f >= 2 under the cap; no field is built
+    for p in filter(is_prime, range(2, 1 << 11)):
+        f = 2
+        while p**f <= SIZE_CAP:
+            k, m, w = _slot_layout(p, f)
+            assert f * w <= 63, (p, f)
+            assert w <= 12 and p**k <= _CHUNK_VALUES and (m - 1) * k < f <= m * k, (p, f)
+            f += 1
+
+
+def test_slot_layout_overflow_raises():
+    # 7 chunks of 6 ternary digits need 4-bit slots, 160 bits for 40 digits
+    with pytest.raises(OverflowError, match="int64"):
+        _slot_layout(3, 40)
+
+
+@pytest.mark.parametrize("cap", [2, 9, 100])
+def test_narrow_chunks_give_the_same_tables(monkeypatch, cap):
+    # more chunks, wider slots and more decoder groups than the default layout
+    fields = [(2, 12), (3, 7), (5, 5), (7, 4), (13, 3), (61, 2)]
+    expected = {pf: get_field(*pf) for pf in fields}
+    monkeypatch.setattr(finite_field, "_CHUNK_VALUES", cap)
+    for pf in fields:
+        fld = build_field(*pf)
+        assert np.array_equal(fld.antilog, expected[pf].antilog), pf
+
+
+# sha256 of the little-endian int64 tables.  The named-example fields were
+# pinned before the tables were built by F_p-linear maps; the others before
+# odd p moved from a (q-1, f) digit array to encodings.  They cover several
+# equal chunks (3^13), uneven chunks (5^9, 7^7), one-digit chunks (2039^2)
+# and a prime field at the size cap.
 TABLE_DIGESTS = {
     (3, 12): (
         "91d1352aef801c292e6f7d9ff53a6a598b3836c286888e86ac6088cf64ea49e9",
@@ -220,12 +260,37 @@ TABLE_DIGESTS = {
         "72b4831410d4964717297390dad359dd0102aa4c0a1513cd18aa204e86b63856",
         "6a36c5a9aeade880b8756b4ef74bab830add3437bf6caa601d20d1ffb5570a83",
     ),
+    (3, 13): (
+        "103aa6b225070748e9d5adc9e5d66b5173fdd28337036a7c7a1d126916379863",
+        "bfa6b0bf99a2877b2413f4b9420ed423ab32b123a618941862a7a988fb673203",
+        "ca2a3ce63202a07e6a382b5651180224d6fc30e7a5a9be8325b7aa4fe0040092",
+    ),
+    (5, 9): (
+        "5860e5b8a559f6bd49bae48e9c992843177dfe8b13c56c6fd8114a7cffccaf13",
+        "ff0272e87bbfcaea50258d8717bbeafbed21e33627ce28ea8ecbbe0a17ae0056",
+        "81597dc10877914eaee8765165683a32997229868b04cecff67f6ef74378bb73",
+    ),
+    (7, 7): (
+        "deaa49332f63092471a027f5ac73d6e59f2820c67dd9409e997ed050abfaeb64",
+        "fb3917b477a633adfcec4bcd0b40a63281e2a66645c61e1707a337eb37da44ec",
+        "edc593746024fadbe415b1ee1913e26f8d0c79e803061c59274fabdce0dd051e",
+    ),
+    (2039, 2): (
+        "c1cfe18cb307f983821c27d08a7980e8f467349ab5d2768c01d88b93e31000ee",
+        "27ce76c3708359961504e3380fc8450644f00aa4d3df11f8bbed93ac7af1b18a",
+        "6ce3aafbe3e67b0ca159016dd17252d1693df1207638d0016adef4b4de6381a2",
+    ),
+    (4194301, 1): (
+        "36cba2cef633d10d8cc0f57e16b9eb24ace52b1b70be7ae86475150c7fe4fe98",
+        "996660273598dbcece87e83b80c76dd48abdf1152252518445b2d6ef23e1831e",
+        "64c1327d9388a814d56ba9ac068e2fc9874cdd50ac82688f0223426ddb3b0d5d",
+    ),
 }
 
 
 @pytest.mark.parametrize("p, f", sorted(TABLE_DIGESTS))
 def test_named_example_tables_are_pinned(p, f):
-    fld = get_field(p, f)
+    fld = build_field(p, f)
     digests = tuple(
         hashlib.sha256(np.ascontiguousarray(table, dtype="<i8").tobytes()).hexdigest()
         for table in (fld.antilog, fld.log, fld.trace)

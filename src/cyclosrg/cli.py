@@ -10,7 +10,9 @@ check (AssertionError) or sign resolution (ArithmeticError), reported as one
 
 Each handler returns (payload, tsv renderer, pretty renderer, exit code).
 The renderers take no argument and return the output lines; ``main`` calls
-only the one of the format it prints, and json calls neither.  The tsv of a
+only the one of the format it prints, and json calls neither.  They close
+over the payload and a few numbers, not over a field, a class map or a scan
+report, so those are freed before the output is encoded.  The tsv of a
 record is one ``key<TAB>value`` line per top-level payload field, the
 certificate left to json; the tsv of a table is a header line and one line
 per row.  Pretty output is prose written per command.  The scan handlers
@@ -95,9 +97,9 @@ def _cmd_build_field(args):
 
     def pretty():
         return [
-            f"field with q = {fld.p}^{fld.f} = {fld.q}",
-            f"modulus coefficients (low to high): {_cell(data['modulus'])}",
-            f"generator gamma = {fld.gamma}, trace(gamma) = {data['gamma_trace']}",
+            f"field with q = {summary['p']}^{summary['f']} = {summary['q']}",
+            f"modulus coefficients (low to high): {_cell(summary['modulus'])}",
+            f"generator gamma = {summary['gamma']}, trace(gamma) = {summary['gamma_trace']}",
             *(line.replace("\t", " ") for line in table()),
         ]
 
@@ -115,16 +117,17 @@ def _cmd_periods(args):
     data = {"p": fld.p, "f": fld.f, "n": cm.N, "class_size": cm.class_size, "periods": rows}
     if args.tally:
         data["tally"] = cm.tally.tolist()
+    q = fld.q
 
     def tsv():
         lines = _table(rows[0], (r.values() for r in rows))
         if args.tally:
-            header = ["class", *(f"trace_{t}" for t in range(fld.p))]
+            header = ["class", *(f"trace_{t}" for t in range(data["p"]))]
             lines += _table(header, ([a, *row] for a, row in enumerate(data["tally"])))
         return lines
 
     def pretty():
-        lines = [f"q = {fld.q}, N = {cm.N}, class size {cm.class_size}"]
+        lines = [f"q = {q}, N = {data['n']}, class size {data['class_size']}"]
         for r in rows:
             if r["integer"] is not None:
                 lines.append(f"eta_{r['a']} = {r['integer']}")
@@ -145,9 +148,10 @@ def _cmd_verify_srg(args):
     if not cm.is_symmetric(D):
         raise ValueError("connection set is not symmetric (-D != D); the Cayley graph would be directed")
     sums = cm.connection_sums(D)
-    k = len(D) * (fld.q - 1) // cm.N
+    N = cm.N
+    k = len(D) * (fld.q - 1) // N
     cert = srg_from_spectrum(fld.q, k, sums, source="SPECTRUM")
-    inputs = {"p": fld.p, "p1": None, "p2": None, "m": None, "N": cm.N, "D": list(D)}
+    inputs = {"p": fld.p, "p1": None, "p2": None, "m": None, "N": N, "D": list(D)}
     data = {
         "ok": cert is not None,
         "v": fld.q,
@@ -163,7 +167,7 @@ def _cmd_verify_srg(args):
 
     def pretty():
         lines = [
-            f"Cay(F_{fld.q}, union of classes {_cell(D)} of {cm.N})",
+            f"Cay(F_{data['v']}, union of classes {_cell(D)} of {N})",
             f"distinct connection sums: {data['spectrum']}",
         ]
         if cert is None:
@@ -238,16 +242,17 @@ def _cmd_scan(args):
         report = scan_triples(args.p_max, args.n_max)
         title = f"triple scan p <= {args.p_max}, p1*p2 <= {args.n_max}"
 
+    rows = [
+        (c.p, c.p1, c.p2, c.h, c.b, c.f1, f"({c.p}^f-1)/{c.p1 * (c.p2 or 1)}", c.r_formula, c.s_formula)
+        for c in report.hits
+    ]
+    title += f": {len(report.hits)} hits, {len(report.rejections)} rejections"
+
     def tsv():
-        rows = [
-            (c.p, c.p1, c.p2, c.h, c.b, c.f1, f"({c.p}^f-1)/{c.p1 * (c.p2 or 1)}", c.r_formula, c.s_formula)
-            for c in report.hits
-        ]
         return _table(("p", "p1", "p2", "h", "b", "f", "k", "r", "s"), rows)
 
     def pretty():
-        head = f"{title}: {len(report.hits)} hits, {len(report.rejections)} rejections"
-        return [head, *(line.replace("\t", "  ") for line in tsv())]
+        return [title, *(line.replace("\t", "  ") for line in tsv())]
 
     return report.to_json_dict() if args.format == "json" else None, tsv, pretty, 0
 

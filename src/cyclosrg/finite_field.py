@@ -7,11 +7,12 @@ irreducible polynomial of degree f over Z/pZ.  Encodings run over
 
 Construction is deterministic: the modulus is the lexicographically smallest
 monic irreducible (coefficients compared low degree first) and the generator
-gamma is the smallest encoding that is primitive.  The antilog table is
-filled by doubling: the block [s, 2s) is gamma**s times the block [0, s).
-Every step works on encodings.  At f = 1 it is x * c % p.  For f >= 2,
-multiplication by c is F_p-linear in the digits, with rows c * x**i from
-shift and reduce; each chunk of an encoding's digits looks up the packed
+gamma is the smallest encoding that is primitive.  Both searches take powers
+by squaring the f x f matrix of multiplication by an element over F_p.  The
+antilog table is filled by doubling: the block [s, 2s) is gamma**s times the
+block [0, s).  Every step works on encodings.  At f = 1 it is x * c % p.  For
+f >= 2, multiplication by c is F_p-linear in the digits, with rows c * x**i
+from shift and reduce; each chunk of an encoding's digits looks up the packed
 image of that chunk, and the chunk images are XORed (p = 2) or added and
 reduced slot by slot (odd p).  The trace is F_p-linear too: an XOR doubling
 at p = 2 and an outer sum over the digits at odd p.  After construction all
@@ -21,7 +22,9 @@ arithmetic is table driven:
     log[x]     = i with antilog[i] == x        (length q, log[0] == -1)
     trace[x]   = absolute trace as int in [0, p)
 
-Tables are numpy int64 arrays marked read only.
+The tables are numpy arrays marked read only: antilog and log are int64,
+trace is np.min_scalar_type(p - 1) (uint8 for p < 256, else uint16, or uint32
+for the prime fields above 2^16).
 """
 
 from __future__ import annotations
@@ -35,36 +38,8 @@ from .ntheory import is_prime, prime_factors
 SIZE_CAP = 1 << 22
 
 # ---------------------------------------------------------------------------
-# scalar polynomial arithmetic over Z/pZ, used only during construction
+# modulus search over Z/pZ, used only during construction
 # coefficient tuples are low degree first; residues have length f
-
-
-def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], mod_low: tuple[int, ...], p: int) -> tuple[int, ...]:
-    f = len(mod_low)
-    prod = [0] * (2 * f - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for deg in range(2 * f - 2, f - 1, -1):
-        t = prod[deg] % p
-        if t:
-            for i in range(f):
-                prod[deg - f + i] -= t * mod_low[i]
-        prod[deg] = 0
-    return tuple(v % p for v in prod[:f])
-
-
-def _poly_pow_mod(a: tuple[int, ...], e: int, mod_low: tuple[int, ...], p: int) -> tuple[int, ...]:
-    f = len(mod_low)
-    result = tuple([1] + [0] * (f - 1))
-    base = a
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, mod_low, p)
-        base = _poly_mul_mod(base, base, mod_low, p)
-        e >>= 1
-    return result
 
 
 def _poly_gcd_is_unit(a: list[int], b: list[int], p: int) -> bool:
@@ -93,31 +68,21 @@ def _poly_gcd_is_unit(a: list[int], b: list[int], p: int) -> bool:
             a[i + shift] = (a[i + shift] - coef * b[i]) % p
 
 
-def _x_poly(f: int) -> tuple[int, ...]:
-    return tuple([0, 1] + [0] * (f - 2)) if f >= 2 else (0,)
-
-
-def _frobenius_power(mod_low: tuple[int, ...], p: int, k: int) -> tuple[int, ...]:
-    """x**(p**k) reduced modulo the monic polynomial with low part mod_low."""
-    cur = _x_poly(len(mod_low))
-    for _ in range(k):
-        cur = _poly_pow_mod(cur, p, mod_low, p)
-    return cur
-
-
 def _is_irreducible(mod_low: tuple[int, ...], p: int) -> bool:
     """Rabin test for the monic degree-f polynomial x^f + mod_low."""
     f = len(mod_low)
     if f == 1:
         return True
-    x = _x_poly(f)
+    x = _digits(p, p, f)  # the encoding of x is p
+    x_rows = _mul_rows(list(x), mod_low, p)
     g_full = list(mod_low) + [1]
     for ell in prime_factors(f):
-        h = _frobenius_power(mod_low, p, f // ell)
+        # h = x**(p**(f/ell)), the Frobenius power
+        h = _power_of(x_rows, p ** (f // ell), p)
         diff = [(hi - xi) % p for hi, xi in zip(h, x)]
         if not _poly_gcd_is_unit(diff, g_full, p):
             return False
-    return _frobenius_power(mod_low, p, f) == x
+    return _power_of(x_rows, p**f, p) == x
 
 
 def _smallest_irreducible(p: int, f: int) -> tuple[int, ...]:
@@ -157,6 +122,25 @@ def _mul_rows(c: list[int], mod_low: tuple[int, ...], p: int) -> np.ndarray:
         # x * prev, with x**f replaced by -mod_low
         rows.append([(lo - top * m) % p for lo, m in zip([0] + prev[:-1], mod_low)])
     return np.array(rows, dtype=np.int64)
+
+
+def _power_of(rows: np.ndarray, e: int, p: int) -> tuple[int, ...]:
+    """Digits of c**e by square-and-multiply, where rows = _mul_rows(c, mod_low, p).
+
+    _mul_rows(a) @ _mul_rows(b) is _mul_rows(a * b), and row 0 of _mul_rows(a)
+    holds the digits of a, so the power is kept as that row alone.  Entries
+    of a product stay below f * p**2, which is under 2**27 for f >= 2 and
+    q <= SIZE_CAP, so int64 is exact.
+    """
+    digits = np.zeros(len(rows), dtype=np.int64)
+    digits[0] = 1
+    while e:
+        if e & 1:
+            digits = digits @ rows % p
+        e >>= 1
+        if e:
+            rows = rows @ rows % p
+    return tuple(digits.tolist())
 
 
 # a chunk of digits indexes a table of at most this many images
@@ -287,28 +271,34 @@ def _basis_traces(p: int, f: int, mod_low: tuple[int, ...]) -> list[int]:
 def _trace_table(p: int, s: list[int]) -> np.ndarray:
     """Trace of every encoding from the basis traces s, the last digit most significant.
 
-    p = 2 doubles with XOR in uint8: block [2**i, 2**(i+1)) is block [0, 2**i)
-    plus s_i.  Odd p takes an outer sum over the digits.
+    The table has dtype np.min_scalar_type(p - 1).  p = 2 doubles with XOR in
+    uint8: block [2**i, 2**(i+1)) is block [0, 2**i) plus s_i.  Odd p takes an
+    outer sum over the digits in a dtype that holds 2p - 2, the largest sum.
     """
     if p == 2:
         tr = np.zeros(1 << len(s), dtype=np.uint8)
         for i, si in enumerate(s):
             np.bitwise_xor(tr[: 1 << i], si, out=tr[1 << i : 2 << i])
-        return tr.astype(np.int64)
+        return tr
+    wide = np.min_scalar_type(2 * p - 2)
     digit = np.arange(p, dtype=np.int64)
-    tr = np.zeros(1, dtype=np.int64)
+    tr = np.zeros(1, dtype=wide)
     for si in s:
-        nxt = (digit * si % p)[:, None] + tr
+        nxt = (digit * si % p).astype(wide)[:, None] + tr
         nxt %= p
         tr = nxt.ravel()
-    return tr
+    return tr.astype(np.min_scalar_type(p - 1), copy=False)
 
 
 # ---------------------------------------------------------------------------
 
 
 class FieldTable:
-    """Immutable table model of F_{p^f}; build with build_field."""
+    """Immutable table model of F_{p^f}; build with build_field.
+
+    antilog and log are int64; trace has dtype np.min_scalar_type(p - 1), so
+    arithmetic on its entries wraps unless they are widened first.
+    """
 
     __slots__ = ("p", "f", "q", "modulus", "antilog", "log", "trace")
 
@@ -402,10 +392,11 @@ def _find_generator(p: int, f: int, q: int, mod_low: tuple[int, ...]) -> int:
             if all(pow(e, t, p) != 1 for t in ell_list):
                 return e
     else:
-        one = tuple([1] + [0] * (f - 1))
-        for e in range(2, q):
-            dig = _digits(e, p, f)
-            if all(_poly_pow_mod(dig, t, mod_low, p) != one for t in ell_list):
+        one = _digits(1, p, f)
+        # encodings below p are F_p, whose orders divide p - 1 < q - 1
+        for e in range(p, q):
+            rows = _mul_rows(list(_digits(e, p, f)), mod_low, p)
+            if all(_power_of(rows, t, p) != one for t in ell_list):
                 return e
     raise AssertionError("no generator found")  # unreachable for a true field
 

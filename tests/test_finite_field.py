@@ -1,6 +1,7 @@
 """Field table construction, arithmetic, and determinism."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -12,13 +13,86 @@ from cyclosrg.finite_field import (
     FieldTable,
     _basis_traces,
     _digits,
-    _poly_mul_mod,
+    _find_generator,
+    _is_irreducible,
+    _poly_gcd_is_unit,
     _slot_layout,
+    _smallest_irreducible,
     build_field,
 )
 from cyclosrg.ntheory import is_prime, prime_factors
 
 from conftest import get_field
+
+
+# ---------------------------------------------------------------------------
+# independent scalar references: schoolbook polynomial arithmetic over Z/pZ,
+# coefficient tuples low degree first, residues of length f
+
+
+def _poly_mul_mod(a, b, mod_low, p):
+    f = len(mod_low)
+    prod = [0] * (2 * f - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for deg in range(2 * f - 2, f - 1, -1):
+        t = prod[deg] % p
+        if t:
+            for i in range(f):
+                prod[deg - f + i] -= t * mod_low[i]
+        prod[deg] = 0
+    return tuple(v % p for v in prod[:f])
+
+
+def _poly_pow_mod(a, e, mod_low, p):
+    result = _digits(1, p, len(mod_low))
+    while e:
+        if e & 1:
+            result = _poly_mul_mod(result, a, mod_low, p)
+        a = _poly_mul_mod(a, a, mod_low, p)
+        e >>= 1
+    return result
+
+
+def _slow_is_irreducible(mod_low, p):
+    # Rabin: x^(p^f) = x, and x^(p^(f/l)) - x is prime to the modulus for every prime l | f
+    f = len(mod_low)
+    x = _digits(p, p, f)  # the encoding of x is p
+
+    def frobenius(k):
+        return _poly_pow_mod(x, p**k, mod_low, p)
+
+    for ell in prime_factors(f):
+        diff = [(h - xi) % p for h, xi in zip(frobenius(f // ell), x)]
+        if not _poly_gcd_is_unit(diff, list(mod_low) + [1], p):
+            return False
+    return frobenius(f) == x
+
+
+def _slow_search(p, f):
+    # lex-smallest monic irreducible, then the smallest encoding of order q - 1,
+    # every candidate encoding from 2 up tried by scalar powers
+    q = p**f
+    mod_low = next(m for c0 in range(1, p) for rest in itertools.product(range(p), repeat=f - 1)
+                   if _slow_is_irreducible(m := (c0,) + rest, p))
+    one = _digits(1, p, f)
+    exponents = [(q - 1) // ell for ell in prime_factors(q - 1)]
+    gamma = next(e for e in range(2, q)
+                 if all(_poly_pow_mod(_digits(e, p, f), t, mod_low, p) != one for t in exponents))
+    return mod_low + (1,), gamma
+
+
+def _slow_trace(p, f, mod_low):
+    # int64 digit sum of every encoding against the basis traces, one digit at a time
+    x = np.arange(p**f, dtype=np.int64)
+    acc = np.zeros_like(x)
+    for si in _basis_traces(p, f, mod_low):
+        acc += x % p * si
+        acc %= p
+        x //= p
+    return acc
 
 
 def test_f4_modulus_and_gamma():
@@ -209,6 +283,49 @@ def test_tables_match_slow_reference():
         assert np.array_equal(fld.antilog, np.array(powers) @ place), (p, f)
         digits = np.arange(fld.q)[:, None] // place % p
         assert np.array_equal(fld.trace, digits @ _basis_traces(p, f, mod_low) % p), (p, f)
+
+
+@pytest.mark.parametrize(
+    "p, f", [(2, 21), (3, 13), (131, 2), (137, 2), (233, 2), (251, 2), (2039, 2), (65521, 1), (4194301, 1)]
+)
+def test_trace_table_is_narrow_and_exact(p, f):
+    # p in [128, 256) is where digit sums in uint8 would wrap.  The moduli of
+    # 131^2 and 251^2 are x^2 + 1, whose Tr(x) = 0 keeps every sum below p;
+    # 137^2 and 233^2 have x^2 + x + 1 and sums up to 2p - 2.  4194301 needs uint32.
+    fld = build_field(p, f)
+    assert fld.trace.dtype == np.min_scalar_type(p - 1)
+    assert np.array_equal(fld.trace, _slow_trace(p, f, fld.modulus[:f])), (p, f)
+
+
+def test_matrix_power_search_matches_scalar_reference():
+    # every field with f >= 2 and q <= 2^16: the same modulus and the same generator
+    for p in filter(is_prime, range(2, 1 << 8)):
+        f = 2
+        while p**f <= 1 << 16:
+            modulus = _smallest_irreducible(p, f)
+            found = (modulus, _find_generator(p, f, p**f, modulus[:f]))
+            assert found == _slow_search(p, f), (p, f)
+            f += 1
+
+
+@pytest.mark.parametrize("p, f_max", [(2, 8), (3, 5), (5, 3)])
+def test_rabin_test_matches_brute_force_factoring(p, f_max):
+    # a monic polynomial of degree f is reducible exactly when it is a product
+    # of two monic polynomials of degrees d and f - d with 1 <= d <= f / 2
+    def monic(d):
+        return [low + (1,) for low in itertools.product(range(p), repeat=d)]
+
+    def times(a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+        return tuple(prod)
+
+    for f in range(1, f_max + 1):
+        reducible = {times(a, b) for d in range(1, f // 2 + 1) for a in monic(d) for b in monic(f - d)}
+        for poly in monic(f):
+            assert _is_irreducible(poly[:f], p) == (poly not in reducible), (p, poly)
 
 
 def test_slot_layout_fits_in_an_int64():

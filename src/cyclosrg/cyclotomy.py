@@ -43,7 +43,8 @@ class CyclotomicInteger:
 
     For p = 2 this degenerates to a plain integer (basis {1}).
     Instances are immutable and hashable.  Coefficients are stored as
-    Python ints; other integer types (numpy ints, bool) are converted.
+    Python ints; other integer types (numpy ints, bool) are converted by
+    operator.index, which refuses floats and strings rather than truncate.
     Elements add, subtract, negate and conjugate; there is no product.
     """
 
@@ -56,7 +57,7 @@ class CyclotomicInteger:
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p = {p}")
         if set(map(type, coeffs)) - {int}:
-            coeffs = tuple(map(int, coeffs))
+            coeffs = tuple(map(operator.index, coeffs))
         self.p = p
         self.coeffs = coeffs
 
@@ -72,7 +73,7 @@ class CyclotomicInteger:
     @classmethod
     def from_exponent_counts(cls, p: int, counts) -> "CyclotomicInteger":
         """Fold sum(counts[j] * xi^j, j = 0..p-1) into the power basis."""
-        counts = [int(c) for c in counts]
+        counts = [operator.index(c) for c in counts]
         if len(counts) != p:
             raise ValueError(f"need {p} exponent counts for p = {p}")
         top = counts[p - 1]
@@ -80,7 +81,7 @@ class CyclotomicInteger:
 
     @classmethod
     def from_int(cls, p: int, n: int) -> "CyclotomicInteger":
-        return cls(p, (int(n),) + (0,) * (p - 2))
+        return cls(p, (operator.index(n),) + (0,) * (p - 2))
 
     # ring structure
 
@@ -181,6 +182,7 @@ class ClassMap:
 
     def __init__(self, field: FieldTable, N: int):
         q = field.q
+        N = operator.index(N)
         if N <= 1:
             raise ValueError(f"N must be at least 2, got {N}")
         if (q - 1) % N:
@@ -239,7 +241,7 @@ class ClassMap:
         return self.field.antilog.reshape(-1, self.N)[:, d].ravel()
 
     def _check_classes(self, D) -> set[int]:
-        d = set(int(i) for i in D)
+        d = set(map(operator.index, D))
         if not d:
             raise ValueError("connection set must be a nonempty set of classes")
         if not all(0 <= i < self.N for i in d):

@@ -8,7 +8,8 @@ irreducible polynomial of degree f over Z/pZ.  Encodings run over
 Construction is deterministic: the modulus is the lexicographically smallest
 monic irreducible (coefficients compared low degree first) and the generator
 gamma is the smallest encoding that is primitive.  Both searches take powers
-by squaring the f x f matrix of multiplication by an element over F_p.  The
+by squaring the f x f matrix of multiplication by an element over F_p; the
+coprimality check of Rabin's test is a unit test by such a power.  The
 antilog table is filled by doubling: the block [s, 2s) is gamma**s times the
 block [0, s).  Every step works on encodings.  At f = 1 it is x * c % p.  For
 f >= 2, multiplication by c is F_p-linear in the digits, with rows c * x**i
@@ -42,47 +43,29 @@ SIZE_CAP = 1 << 22
 # coefficient tuples are low degree first; residues have length f
 
 
-def _poly_gcd_is_unit(a: list[int], b: list[int], p: int) -> bool:
-    """gcd of two coefficient lists over Z/pZ is a nonzero constant."""
-
-    def deg(u: list[int]) -> int:
-        for i in range(len(u) - 1, -1, -1):
-            if u[i] % p:
-                return i
-        return -1
-
-    a = [v % p for v in a]
-    b = [v % p for v in b]
-    while True:
-        da, db = deg(a), deg(b)
-        if db < 0:
-            return da == 0
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[db], p - 2, p) if p > 2 else 1
-        # kill the leading term of a with a shifted multiple of b
-        coef = a[da] * inv % p
-        shift = da - db
-        for i in range(db + 1):
-            a[i + shift] = (a[i + shift] - coef * b[i]) % p
-
-
 def _is_irreducible(mod_low: tuple[int, ...], p: int) -> bool:
-    """Rabin test for the monic degree-f polynomial x^f + mod_low."""
+    """Rabin test for the monic degree-f polynomial g = x^f + mod_low.
+
+    Once x**q == x, g divides x**q - x: it is squarefree with factor degrees
+    dividing f, so F_p[x]/(g) is a product of fields F_{p^d}, d | f, where u is
+    a unit exactly when u**(q-1) == 1.  That power decides gcd(u, g) == 1.
+    """
     f = len(mod_low)
     if f == 1:
         return True
+    q = p**f
     x = _digits(p, p, f)  # the encoding of x is p
     x_rows = _mul_rows(list(x), mod_low, p)
-    g_full = list(mod_low) + [1]
+    if _power_of(x_rows, q, p) != x:
+        return False
+    one = _digits(1, p, f)
     for ell in prime_factors(f):
-        # h = x**(p**(f/ell)), the Frobenius power
+        # x**(p**(f/ell)) - x must be a unit
         h = _power_of(x_rows, p ** (f // ell), p)
         diff = [(hi - xi) % p for hi, xi in zip(h, x)]
-        if not _poly_gcd_is_unit(diff, g_full, p):
+        if _power_of(_mul_rows(diff, mod_low, p), q - 1, p) != one:
             return False
-    return _power_of(x_rows, p**f, p) == x
+    return True
 
 
 def _smallest_irreducible(p: int, f: int) -> tuple[int, ...]:
@@ -384,11 +367,10 @@ class FieldTable:
 
 
 def _find_generator(p: int, f: int, q: int, mod_low: tuple[int, ...]) -> int:
-    if q <= 3:
-        return q - 1
     ell_list = [(q - 1) // ell for ell in prime_factors(q - 1)]
     if f == 1:
-        for e in range(2, q):
+        # 1 has order q - 1 only in F_2, where ell_list is empty
+        for e in range(1, q):
             if all(pow(e, t, p) != 1 for t in ell_list):
                 return e
     else:

@@ -262,7 +262,7 @@ def difference_count_oracle(cm: ClassMap, D) -> SrgCertificate | None:
     characters.
     """
     q = cm.field.q
-    d = sorted(set(int(i) for i in D))
+    d = sorted(cm._check_classes(D))
     if not cm.is_symmetric(d):
         raise ValueError("connection set is not symmetric (-D != D); the graph would be directed")
     k = len(d) * cm.class_size

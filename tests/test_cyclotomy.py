@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cyclosrg.cyclotomy import ClassMap, CyclotomicInteger, classify
 from cyclosrg.finite_field import build_field
 from cyclosrg.ntheory import divisors, is_prime
-from cyclosrg.srg_engine import _sum_product, srg_from_spectrum
+from cyclosrg.srg_engine import _sum_product, difference_count_oracle, srg_from_spectrum
 
 from conftest import get_field
 
@@ -345,3 +345,23 @@ def test_classify_errors():
         cm.connection_sums(())
     with pytest.raises(ValueError, match="lie in"):
         cm.connection_sums((5,))
+
+
+@pytest.mark.parametrize("bad", [0.9, 5.0, "0"])
+def test_inexact_inputs_are_refused(bad):
+    # int() would truncate 0.9 to class 0 and parse "0"; every entry point refuses both
+    fld = get_field(2, 4)
+    cm = classify(fld, 5)
+    calls = [
+        lambda: CyclotomicInteger(3, (bad, 0)),
+        lambda: CyclotomicInteger.from_exponent_counts(3, [bad, 0, 0]),
+        lambda: CyclotomicInteger.from_int(3, bad),
+        lambda: classify(fld, bad),
+        lambda: cm.connection_sums([bad]),
+        lambda: cm.is_symmetric([0, bad]),
+        lambda: cm.connection_set_elements([bad]),
+        lambda: difference_count_oracle(cm, [bad]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="integer"):
+            call()

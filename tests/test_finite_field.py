@@ -15,7 +15,6 @@ from cyclosrg.finite_field import (
     _digits,
     _find_generator,
     _is_irreducible,
-    _poly_gcd_is_unit,
     _slot_layout,
     _smallest_irreducible,
     build_field,
@@ -57,18 +56,23 @@ def _poly_pow_mod(a, e, mod_low, p):
 
 
 def _slow_is_irreducible(mod_low, p):
-    # Rabin: x^(p^f) = x, and x^(p^(f/l)) - x is prime to the modulus for every prime l | f
+    # Rabin: x^(p^f) = x, and x^(p^(f/l)) - x is prime to the modulus for every
+    # prime l | f.  Given the first, Z/pZ[x]/(modulus) is a product of fields
+    # F_{p^d} with d | f, so the second holds exactly when diff^(q-1) = 1
     f = len(mod_low)
     x = _digits(p, p, f)  # the encoding of x is p
+    one = _digits(1, p, f)
 
     def frobenius(k):
         return _poly_pow_mod(x, p**k, mod_low, p)
 
+    if frobenius(f) != x:
+        return False
     for ell in prime_factors(f):
-        diff = [(h - xi) % p for h, xi in zip(frobenius(f // ell), x)]
-        if not _poly_gcd_is_unit(diff, list(mod_low) + [1], p):
+        diff = tuple((h - xi) % p for h, xi in zip(frobenius(f // ell), x))
+        if _poly_pow_mod(diff, p**f - 1, mod_low, p) != one:
             return False
-    return frobenius(f) == x
+    return True
 
 
 def _slow_search(p, f):
@@ -107,6 +111,13 @@ def test_f5_generator_is_2():
     fld = get_field(5, 1)
     assert fld.gamma == 2
     assert list(fld.antilog) == [1, 2, 4, 3]
+
+
+def test_f3_generator_is_2():
+    # 2 is the only generator of F_3; 1 generates only F_2*
+    fld = get_field(3, 1)
+    assert fld.gamma == 2
+    assert list(fld.antilog) == [1, 2]
 
 
 def test_f2_edge_case():
@@ -308,7 +319,10 @@ def test_matrix_power_search_matches_scalar_reference():
             f += 1
 
 
-@pytest.mark.parametrize("p, f_max", [(2, 8), (3, 5), (5, 3)])
+# (3, 6) has l in {2, 3}: a product of three distinct quadratics passes
+# x^(p^f) = x and the l = 2 check, so only the l = 3 unit check rejects it.
+# F_2 has one irreducible quadratic, so (2, 8) holds no such sextic
+@pytest.mark.parametrize("p, f_max", [(2, 8), (3, 5), (3, 6), (5, 3)])
 def test_rabin_test_matches_brute_force_factoring(p, f_max):
     # a monic polynomial of degree f is reducible exactly when it is a product
     # of two monic polynomials of degrees d and f - d with 1 <= d <= f / 2

@@ -248,16 +248,10 @@ def verify_named_example(name: str) -> ExampleReport:
     cert = srg_from_spectrum(field.q, k, sums, source="COMPUTED")
     predicted = ex.predicted()
     predicted_values = tuple(predicted.integer_values()) if predicted.integral else None
-    predicted_matches = (
-        cert is not None
-        and predicted_values is not None
-        and predicted.v == field.q
-        and predicted.k == k
-        and set(predicted_values) == {cert.r, cert.s}
-    )
+    predicted_matches = cert is not None and certificates_agree(cert, predicted.certificate())
     oracle_ran = field.q <= _ORACLE_Q_CAP
     oracle_agrees = certificates_agree(cert, difference_count_oracle(cm, ex.classes)) if oracle_ran else None
-    ok = cert is not None and predicted_matches and oracle_agrees is not False
+    ok = predicted_matches and oracle_agrees is not False
     return ExampleReport(
         example=ex, q=field.q, k=k, spectrum=spectrum, certificate=cert, predicted_values=predicted_values,
         predicted_matches=predicted_matches, oracle_ran=oracle_ran, oracle_agrees=oracle_agrees, ok=ok,

@@ -31,6 +31,7 @@ for the prime fields above 2^16).
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -304,12 +305,12 @@ class FieldTable:
         return int(self.antilog[1]) if self.q > 2 else 1
 
     def dlog(self, x: int) -> int:
-        if not 1 <= x < self.q:
+        if not 1 <= operator.index(x) < self.q:
             raise ValueError(f"dlog needs a nonzero field element, got {x}")
         return int(self.log[x])
 
     def _element(self, x: int) -> int:
-        if not 0 <= x < self.q:
+        if not 0 <= operator.index(x) < self.q:
             raise ValueError(f"element out of range: {x}")
         return x
 
@@ -322,7 +323,8 @@ class FieldTable:
         return int(self.antilog[(self.dlog(x) + self.dlog(y)) % (self.q - 1)])
 
     def pow_element(self, x: int, e: int) -> int:
-        if x == 0:
+        e = operator.index(e)
+        if self._element(x) == 0:
             if e <= 0:
                 raise ValueError("0 cannot be raised to a nonpositive power")
             return 0
@@ -403,7 +405,7 @@ def build_field(p: int, f: int, modulus: tuple[int, ...] | None = None) -> Field
     if modulus is None:
         modulus = _smallest_irreducible(p, f)
     else:
-        modulus = tuple(int(c) % p for c in modulus)
+        modulus = tuple(operator.index(c) % p for c in modulus)
         if len(modulus) != f + 1 or modulus[f] != 1:
             raise ValueError("modulus must be monic of degree f")
         if not _is_irreducible(modulus[:f], p):

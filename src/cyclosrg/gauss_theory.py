@@ -32,6 +32,7 @@ independent floating point evaluation for cross-checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -434,7 +435,7 @@ def gauss_sum_numeric(field: FieldTable, N: int, j: int) -> GaussSumNumeric:
     Exact-arithmetic results should match within the returned error bound.
     Limited to q <= 2^16 to keep the direct sum cheap and accurate.
     """
-    q = field.q
+    q, N, j = field.q, operator.index(N), operator.index(j)
     if q > _NUMERIC_CAP:
         raise ValueError(f"numeric Gauss sums are limited to q <= {_NUMERIC_CAP}")
     if N < 1:

@@ -7,8 +7,9 @@ sums take exactly two distinct values r > s, in which case
 
     mu = k + r*s,   lambda = mu + r + s,
 
-and the multiplicities follow from trace identities.  Three independent
-routes are implemented:
+and the multiplicities follow from trace identities.  Three routes find
+the eigenvalue data independently, then derive the parameters in one
+shared function, _certificate, whose result SrgCertificate re-checks:
 
 * srg_from_spectrum: exact eigenvalues -> certificate (or None),
 * difference_count_oracle: brute-force difference counting, no character
@@ -18,8 +19,8 @@ routes are implemented:
 
 A conference-graph spectrum (two conjugate irrational eigenvalues) is
 accepted when r+s and r*s are rational integers, which srg_from_spectrum
-decides in the quadratic subfield of Q(xi_p); r, s, mult_r, mult_s stay
-None in that case and the irrational flag is set.
+decides in the quadratic subfield of Q(xi_p); r and s stay None, both
+multiplicities are (v-1)/2, and the irrational flag is set.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ REASON_DIOPHANTINE_FAIL = "DIOPHANTINE_FAIL"
 class SrgCertificate:
     """Parameters and restricted spectrum of a strongly regular graph.
 
-    r, s, mult_r, mult_s are None exactly when the two restricted
-    eigenvalues are conjugate irrationals (conference graphs); then both
-    multiplicities equal (v-1)/2.  degenerate marks mu = 0.
+    r and s are None exactly when the two restricted eigenvalues are
+    conjugate irrationals (conference graphs); then both multiplicities
+    equal (v-1)/2.  degenerate marks mu = 0.
     """
 
     v: int
@@ -151,8 +152,10 @@ def _exact(v) -> int | CyclotomicInteger:
     return v.to_int() if v.is_rational_integer else v
 
 
-def _sum_product(x: CyclotomicInteger, y: CyclotomicInteger) -> tuple[int, int] | None:
-    """(x + y, x y) when both are rational integers, read off Q(sqrt(p*)); else None."""
+def _sum_product(x: int | CyclotomicInteger, y: int | CyclotomicInteger) -> tuple[int, int] | None:
+    """(x + y, x y) when both are rational integers, read off Q(sqrt(p*)) for two irrationals; else None."""
+    if isinstance(x, int) or isinstance(y, int):
+        return (x + y, x * y) if isinstance(x, int) and isinstance(y, int) else None
     if x.p != y.p:
         raise ValueError("mixed cyclotomic orders")
     xc, yc = x.quadratic_coordinates(), y.quadratic_coordinates()
@@ -163,6 +166,41 @@ def _sum_product(x: CyclotomicInteger, y: CyclotomicInteger) -> tuple[int, int] 
         return None
     p_star = x.p if x.p % 4 == 1 else -x.p
     return xu + yu, xu * yu + xv * yv * ((p_star - 1) // 4)
+
+
+def _certificate(v: int, k: int, e1: int, e2: int, source: str) -> SrgCertificate | None:
+    """The certificate of two restricted eigenvalues with sum e1 and product e2, or None.
+
+    mu = k + e2 and lambda = mu + e1.  Two values with a rational sum and
+    product are rational exactly when their discriminant disc = e1^2 - 4 e2
+    is a square; then r, s = (e1 +- sqrt(disc))/2 exactly, as disc = e1^2
+    mod 4.  Otherwise they are conjugate irrationals, whose equal
+    multiplicities force 2k + (v - 1) e1 = 0 (a conference graph).
+    """
+    mu = k + e2
+    lam = mu + e1
+    if lam < 0 or lam > k - 1 or mu < 0:
+        return None
+    if k * (k - lam - 1) != (v - k - 1) * mu:
+        return None
+    disc = e1 * e1 - 4 * e2
+    if disc <= 0:  # no two distinct real values
+        return None
+    sd = math.isqrt(disc)
+    if sd * sd != disc:
+        if 2 * k + (v - 1) * e1 != 0 or (v - 1) % 2:
+            return None
+        half = (v - 1) // 2
+        return SrgCertificate(v, k, lam, mu, None, None, half, half, source, mu == 0, True)
+    r, s = (e1 + sd) // 2, (e1 - sd) // 2
+    num = -k - s * (v - 1)
+    if num % (r - s):
+        return None
+    mult_r = num // (r - s)
+    mult_s = v - 1 - mult_r
+    if mult_r < 1 or mult_s < 1:
+        return None
+    return SrgCertificate(v, k, lam, mu, r, s, mult_r, mult_s, source, mu == 0, False)
 
 
 def srg_from_spectrum(v: int, k: int, values, source: str = "SPECTRUM") -> SrgCertificate | None:
@@ -182,44 +220,14 @@ def srg_from_spectrum(v: int, k: int, values, source: str = "SPECTRUM") -> SrgCe
     x + y = u + u' and x y = u u' + v v' (p* - 1)/4.  Values outside the
     subfield, or one rational and one irrational value, give None.
     """
+    v, k = operator.index(v), operator.index(k)
     if not 1 <= k <= v - 1:
         raise ValueError(f"valency k = {k} must lie in [1, v-1] for v = {v}")
     distinct = tuple(dict.fromkeys(map(_exact, values)))
     if len(distinct) != 2:
         return None
-    x, y = distinct
-    if isinstance(x, int) and isinstance(y, int):
-        r, s = max(x, y), min(x, y)
-        e1, e2 = r + s, r * s
-        irrational = False
-    elif isinstance(x, int) or isinstance(y, int):
-        return None
-    else:
-        e12 = _sum_product(x, y)
-        if e12 is None:
-            return None
-        e1, e2 = e12
-        irrational = True
-    mu = k + e2
-    lam = mu + e1
-    if lam < 0 or lam > k - 1 or mu < 0:
-        return None
-    if k * (k - lam - 1) != (v - k - 1) * mu:
-        return None
-    if irrational:
-        if 2 * k + (v - 1) * e1 != 0 or (v - 1) % 2:
-            return None
-        half = (v - 1) // 2
-        return SrgCertificate(v, k, lam, mu, None, None, half, half, source, mu == 0, True)
-    num = -k - s * (v - 1)
-    den = r - s
-    if num % den:
-        return None
-    mult_r = num // den
-    mult_s = v - 1 - mult_r
-    if mult_r < 1 or mult_s < 1:
-        return None
-    return SrgCertificate(v, k, lam, mu, r, s, mult_r, mult_s, source, mu == 0, False)
+    e12 = _sum_product(*distinct)
+    return None if e12 is None else _certificate(v, k, *e12, source)
 
 
 def _difference_counts(field: FieldTable, N: int, D: list[int]) -> tuple[np.ndarray, int]:
@@ -277,22 +285,10 @@ def difference_count_oracle(cm: ClassMap, D) -> SrgCertificate | None:
     if lam_vals.min() != lam_vals.max() or mu_vals.min() != mu_vals.max():
         return None
     lam, mu = int(lam_vals[0]), int(mu_vals[0])
-    disc = (lam - mu) ** 2 + 4 * (k - mu)
-    sd = math.isqrt(disc)
-    # disc = (lam - mu)^2 mod 4, so sd has the parity of lam - mu
-    if sd * sd == disc:
-        r = (lam - mu + sd) // 2
-        s = (lam - mu - sd) // 2
-        num = -k - s * (q - 1)
-        if num % (r - s):
-            raise AssertionError("trace identity failed on oracle output")
-        mult_r = num // (r - s)
-        return SrgCertificate(q, k, lam, mu, r, s, mult_r, q - 1 - mult_r, "ORACLE", mu == 0, False)
-    # two irrational eigenvalues force the conference condition
-    if 2 * k + (q - 1) * (lam - mu) != 0 or (q - 1) % 2:
-        raise AssertionError("spectral integrality violated")
-    half = (q - 1) // 2
-    return SrgCertificate(q, k, lam, mu, None, None, half, half, "ORACLE", mu == 0, True)
+    cert = _certificate(q, k, lam - mu, mu - k, "ORACLE")
+    if cert is None:
+        raise AssertionError(f"constant counts lambda = {lam}, mu = {mu} fit no strongly regular spectrum")
+    return cert
 
 
 # ---------------------------------------------------------------------------

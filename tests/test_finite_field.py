@@ -19,6 +19,7 @@ from cyclosrg.finite_field import (
     _smallest_irreducible,
     build_field,
 )
+from cyclosrg.gauss_theory import gauss_sum_numeric
 from cyclosrg.ntheory import is_prime, prime_factors
 
 from conftest import get_field
@@ -256,6 +257,36 @@ def test_scalar_arithmetic_refuses_out_of_range_encodings(p, f):
             with pytest.raises(ValueError, match="element out of range"):
                 op(*args)
     assert fld.sub(5, 5) == 0 and fld.add(fld.neg(5), 5) == 0
+
+
+_INEXACT_CALLS = {
+    "modulus-float": lambda fld: build_field(2, 3, modulus=(1.5, 1, 0, 1)),
+    "modulus-str": lambda fld: build_field(2, 3, modulus=("1", 1, 0, 1)),
+    "gauss-sum-index": lambda fld: gauss_sum_numeric(fld, 5, 1.5),
+    "gauss-sum-order": lambda fld: gauss_sum_numeric(fld, 5.0, 1),
+    "mul": lambda fld: fld.mul(3.0, 5),
+    "dlog": lambda fld: fld.dlog(3.7),
+    "trace": lambda fld: fld.trace_of(2.5),
+    "pow-exponent": lambda fld: fld.pow_element(2, 1.5),
+    "pow-zero-base": lambda fld: fld.pow_element(0.0, 1),
+}
+
+
+@pytest.mark.parametrize("call", list(_INEXACT_CALLS.values()), ids=list(_INEXACT_CALLS))
+def test_inexact_field_inputs_are_refused(call):
+    # int() would truncate 1.5 and parse "1", and a float index fails as IndexError
+    with pytest.raises(TypeError, match="integer"):
+        call(get_field(2, 4))
+
+
+def test_numpy_integers_stay_exact_field_inputs():
+    fld = get_field(2, 4)
+    assert build_field(2, 3, modulus=tuple(np.array([1, 1, 0, 1]))).modulus == (1, 1, 0, 1)
+    assert fld.mul(np.int64(3), np.uint8(5)) == fld.mul(3, 5)
+    assert fld.dlog(np.int32(3)) == fld.dlog(3)
+    assert fld.trace_of(np.int64(2)) == fld.trace_of(2)
+    assert fld.pow_element(np.int64(2), np.int64(3)) == fld.pow_element(2, 3)
+    assert gauss_sum_numeric(fld, np.int64(5), np.int64(1)) == gauss_sum_numeric(fld, 5, 1)
 
 
 def test_tables_are_read_only():

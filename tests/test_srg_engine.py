@@ -104,6 +104,120 @@ def test_spectrum_input_validation():
         srg_from_spectrum(16, 16, [1, -1])
     with pytest.raises(ValueError, match="eigenvalues"):
         srg_from_spectrum(16, 5, [1.5, -1])
+    # a float v or k would carry into lambda, mu and the multiplicities
+    for v, k in [(16, 5.0), (16.0, 5)]:
+        with pytest.raises(TypeError, match="integer"):
+            srg_from_spectrum(v, k, [1, -3])
+    cert = srg_from_spectrum(np.int64(16), np.int64(5), [1, -3])
+    assert repr(cert) == repr(srg_from_spectrum(16, 5, [1, -3]))
+    assert all(type(x) is int for x in (*cert.parameters(), cert.mult_r, cert.mult_s))
+
+
+def _reference_srg_from_spectrum(v, k, values, source="SPECTRUM"):
+    # the derivation as it stood before it was shared with the oracle:
+    # r and s straight from the values, the conference branch by the flag
+    if not 1 <= k <= v - 1:
+        raise ValueError(f"valency k = {k} must lie in [1, v-1] for v = {v}")
+    distinct = tuple(dict.fromkeys(map(srg_engine._exact, values)))
+    if len(distinct) != 2:
+        return None
+    x, y = distinct
+    if isinstance(x, int) and isinstance(y, int):
+        r, s = max(x, y), min(x, y)
+        e1, e2 = r + s, r * s
+        irrational = False
+    elif isinstance(x, int) or isinstance(y, int):
+        return None
+    else:
+        e12 = srg_engine._sum_product(x, y)
+        if e12 is None:
+            return None
+        e1, e2 = e12
+        irrational = True
+    mu = k + e2
+    lam = mu + e1
+    if lam < 0 or lam > k - 1 or mu < 0:
+        return None
+    if k * (k - lam - 1) != (v - k - 1) * mu:
+        return None
+    if irrational:
+        if 2 * k + (v - 1) * e1 != 0 or (v - 1) % 2:
+            return None
+        half = (v - 1) // 2
+        return srg_engine.SrgCertificate(v, k, lam, mu, None, None, half, half, source, mu == 0, True)
+    num = -k - s * (v - 1)
+    den = r - s
+    if num % den:
+        return None
+    mult_r = num // den
+    mult_s = v - 1 - mult_r
+    if mult_r < 1 or mult_s < 1:
+        return None
+    return srg_engine.SrgCertificate(v, k, lam, mu, r, s, mult_r, mult_s, source, mu == 0, False)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# feasible (v, k, r, s): s <= -1 <= r and mu = k + rs >= 1 give
+# v = (k - r)(k - s)/mu, and the multiplicity of r must be a whole number
+_FEASIBLE_SPECTRA = [
+    (v, mu - r * s, r, s)
+    for s in range(-15, 0)
+    for r in range(16)
+    for mu in range(1, 41)
+    for v in [(mu - r * s - r) * (mu - r * s - s) // mu]
+    if (mu - r * s - r) * (mu - r * s - s) % mu == 0
+    and mu - r * s < v - 1
+    and (r * s - mu - s * (v - 1)) % (r - s) == 0
+]
+
+
+@st.composite
+def _integer_spectra(draw):
+    branch = draw(st.integers(0, 4))
+    if branch >= 2:
+        v, k, r, s = draw(st.sampled_from(_FEASIBLE_SPECTRA))
+        v += draw(st.sampled_from([0, 0, 0, 1, -1]))
+    elif branch == 1:
+        # the complete graph k = v - 1 with -1 and any other value passes every
+        # identity and fails only on a zero multiplicity
+        v = draw(st.integers(2, 300))
+        k = v - 1
+        r, s = sorted([-1, draw(st.integers(-15, 15).filter(lambda x: x != -1))], reverse=True)
+    else:
+        s = draw(st.integers(-15, 14))
+        r = draw(st.integers(s + 1, 15))
+        v, k = draw(st.integers(2, 300)), draw(st.integers(1, 300))
+    return v, k, draw(st.permutations([r, s])) + draw(st.lists(st.sampled_from([r, s]), max_size=2))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_integer_spectra())
+def test_spectrum_matches_reference_derivation(case):
+    v, k, values = case
+    assert _outcome(srg_from_spectrum, v, k, values) == _outcome(_reference_srg_from_spectrum, v, k, values)
+
+
+def test_conference_spectra_match_reference_derivation():
+    # irrational period pairs, two-valued or not, over prime fields p = 1 mod 4 and 3 mod 4
+    certified = 0
+    for p in (5, 7, 11, 13, 17, 19, 29, 37, 41, 53):
+        for N in (2, 4, 6):
+            if (p - 1) % N:
+                continue
+            cm = classify(get_field(p, 1), N)
+            for D in ((0,), tuple(range(0, N, 2)), (0, N // 2)):
+                values = cm.connection_sums(D)
+                k = len(set(D)) * cm.class_size
+                got = _outcome(srg_from_spectrum, p, k, values)
+                assert got == _outcome(_reference_srg_from_spectrum, p, k, values), (p, N, D)
+                certified += "irrational=True" in got
+    assert certified >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +310,37 @@ def test_oracle_count_guard_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("optimize=1 raised: difference counts"), proc.stdout
+
+
+def test_oracle_refuses_constant_counts_that_fit_no_spectrum():
+    # F_13, N = 2, D = (0,), k = 6: lambda = 5, mu = 0 gives r, s = 6, -1 and
+    # mult_r = 6/7; lambda = 1, mu = 4 gives irrational values off the
+    # conference line 2k + (v - 1)(lambda - mu) = 0.  Both totals pass the count guard.
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from cyclosrg import srg_engine
+        from cyclosrg.cyclotomy import classify
+        from cyclosrg.finite_field import build_field
+
+        cm = classify(build_field(13, 1), 2)
+        for lam, mu in [(5, 0), (1, 4)]:
+            srg_engine._difference_counts = lambda field, N, D: (np.array([lam, mu]), len(D))
+            try:
+                srg_engine.difference_count_oracle(cm, (0,))
+            except AssertionError as exc:
+                print(f"optimize={sys.flags.optimize} raised: {exc}")
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"optimize=1 raised: constant counts lambda = {lam}, mu = {mu} fit no strongly regular spectrum"
+        for lam, mu in [(5, 0), (1, 4)]
+    ], proc.stdout
 
 
 def test_src_has_no_assert_statements():

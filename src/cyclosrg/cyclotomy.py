@@ -51,6 +51,7 @@ class CyclotomicInteger:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: tuple[int, ...]):
+        p = operator.index(p)
         if p < 2:
             raise ValueError("p must be a prime >= 2")
         coeffs = tuple(coeffs)
@@ -214,10 +215,8 @@ class ClassMap:
 
     @property
     def negation_shift(self) -> int:
-        """t with -C_a = C_{a+t}; 0 exactly when every class is symmetric."""
-        if self.field.p == 2:
-            return 0
-        return ((self.field.q - 1) // 2) % self.N
+        """t with -C_a = C_{a+t}, the log of -1 modulo N; 0 exactly when every class is symmetric."""
+        return self.field.dlog(self.field.p - 1) % self.N
 
     def is_symmetric(self, D) -> bool:
         """Whether the union of classes D is closed under negation."""

@@ -8,16 +8,16 @@ irreducible polynomial of degree f over Z/pZ.  Encodings run over
 Construction is deterministic: the modulus is the lexicographically smallest
 monic irreducible (coefficients compared low degree first) and the generator
 gamma is the smallest encoding that is primitive.  Both searches take powers
-by squaring the f x f matrix of multiplication by an element over F_p; the
-coprimality check of Rabin's test is a unit test by such a power.  The
-antilog table is filled by doubling: the block [s, 2s) is gamma**s times the
-block [0, s).  Every step works on encodings.  At f = 1 it is x * c % p.  For
-f >= 2, multiplication by c is F_p-linear in the digits, with rows c * x**i
-from shift and reduce; each chunk of an encoding's digits looks up the packed
-image of that chunk, and the chunk images are XORed (p = 2) or added and
-reduced slot by slot (odd p).  The trace is F_p-linear too: an XOR doubling
-at p = 2 and an outer sum over the digits at odd p.  After construction all
-arithmetic is table driven:
+of the f x f matrix of multiplication by an element over F_p (1 x 1 at f = 1);
+the coprimality check of Rabin's test is a unit test by such a power, and
+the basis trace Tr(x**i) is the trace of the matrix of x**i.  The antilog
+table is filled by doubling: the block [s, 2s) is gamma**s times the block
+[0, s), x * c % p at f = 1.  For f >= 2, multiplication by c is F_p-linear in
+the digits; each chunk of an encoding's digits looks up the packed image of
+that chunk, and the chunk images are XORed (p = 2) or added and reduced slot
+by slot (odd p).  The trace is F_p-linear too: an XOR doubling at p = 2 and
+an outer sum over the digits at odd p.  After construction all arithmetic is
+table driven, and -1 is the encoding p - 1:
 
     antilog[i] = encoding of gamma**i          (length q-1)
     log[x]     = i with antilog[i] == x        (length q, log[0] == -1)
@@ -113,8 +113,8 @@ def _power_of(rows: np.ndarray, e: int, p: int) -> tuple[int, ...]:
 
     _mul_rows(a) @ _mul_rows(b) is _mul_rows(a * b), and row 0 of _mul_rows(a)
     holds the digits of a, so the power is kept as that row alone.  Entries
-    of a product stay below f * p**2, which is under 2**27 for f >= 2 and
-    q <= SIZE_CAP, so int64 is exact.
+    of a product stay below f * p**2: under 2**27 for f >= 2 and q <= SIZE_CAP,
+    and p**2 < 2**44 for f = 1, so int64 is exact.
     """
     digits = np.zeros(len(rows), dtype=np.int64)
     digits[0] = 1
@@ -228,39 +228,31 @@ def _antilog_table(p: int, f: int, q: int, mod_low: tuple[int, ...], gamma: int)
     while size < n:
         step = min(size, n - size)
         block = table[size : size + step]
+        rows = _mul_rows(c, mod_low, p)
         if linear is None:
             np.multiply(table[:step], c[0], out=block)
             block %= p
-            c = [c[0] * c[0] % p]
         else:
-            rows = _mul_rows(c, mod_low, p)
             linear.apply(rows, table[:step], block)
-            # sizes double until the last step, so the next constant is c**2
-            c = (np.array(c, dtype=np.int64) @ rows % p).tolist()
+        # sizes double until the last step, so the next constant is c**2
+        c = (np.array(c, dtype=np.int64) @ rows % p).tolist()
         size += step
     return table
 
 
-def _basis_traces(p: int, f: int, mod_low: tuple[int, ...]) -> list[int]:
-    """Power sums s_k = Tr(alpha**k) of the modulus root, via Newton's identities."""
-    s = [f % p] + [0] * (f - 1)
-    for k in range(1, f):
-        acc = k * mod_low[f - k]
-        for i in range(1, k):
-            acc += mod_low[f - i] * s[k - i]
-        s[k] = (-acc) % p
-    return s
+def _trace_table(p: int, mod_low: tuple[int, ...]) -> np.ndarray:
+    """Trace of every encoding, the last digit most significant.
 
-
-def _trace_table(p: int, s: list[int]) -> np.ndarray:
-    """Trace of every encoding from the basis traces s, the last digit most significant.
-
-    The table has dtype np.min_scalar_type(p - 1).  p = 2 doubles with XOR in
+    The basis traces s_i = Tr(x**i) are the traces of the matrices of
+    multiplication by x**i, whose encoding is p**i.  The table has dtype
+    np.min_scalar_type(p - 1).  p = 2 doubles with XOR in
     uint8: block [2**i, 2**(i+1)) is block [0, 2**i) plus s_i.  Odd p takes an
     outer sum over the digits in a dtype that holds 2p - 2, the largest sum.
     """
+    f = len(mod_low)
+    s = [int(np.trace(_mul_rows(list(_digits(p**i, p, f)), mod_low, p))) % p for i in range(f)]
     if p == 2:
-        tr = np.zeros(1 << len(s), dtype=np.uint8)
+        tr = np.zeros(1 << f, dtype=np.uint8)
         for i, si in enumerate(s):
             np.bitwise_xor(tr[: 1 << i], si, out=tr[1 << i : 2 << i])
         return tr
@@ -334,10 +326,7 @@ class FieldTable:
         return self.pow_element(x, -1)
 
     def neg(self, x: int) -> int:
-        if self._element(x) == 0 or self.p == 2:
-            return x
-        half = (self.q - 1) // 2
-        return int(self.antilog[(self.dlog(x) + half) % (self.q - 1)])
+        return self.mul(x, self.p - 1)
 
     def add(self, x: int, y: int) -> int:
         return int(self.add_vec(np.int64(self._element(x)), np.int64(self._element(y))))
@@ -370,18 +359,13 @@ class FieldTable:
 
 def _find_generator(p: int, f: int, q: int, mod_low: tuple[int, ...]) -> int:
     ell_list = [(q - 1) // ell for ell in prime_factors(q - 1)]
-    if f == 1:
-        # 1 has order q - 1 only in F_2, where ell_list is empty
-        for e in range(1, q):
-            if all(pow(e, t, p) != 1 for t in ell_list):
-                return e
-    else:
-        one = _digits(1, p, f)
-        # encodings below p are F_p, whose orders divide p - 1 < q - 1
-        for e in range(p, q):
-            rows = _mul_rows(list(_digits(e, p, f)), mod_low, p)
-            if all(_power_of(rows, t, p) != one for t in ell_list):
-                return e
+    one = _digits(1, p, f)
+    # for f >= 2 encodings below p are F_p, whose orders divide p - 1 < q - 1;
+    # at f = 1, 1 has order q - 1 only in F_2, where ell_list is empty
+    for e in range(1 if f == 1 else p, q):
+        rows = _mul_rows(list(_digits(e, p, f)), mod_low, p)
+        if all(_power_of(rows, t, p) != one for t in ell_list):
+            return e
     raise AssertionError("no generator found")  # unreachable for a true field
 
 
@@ -392,6 +376,7 @@ def build_field(p: int, f: int, modulus: tuple[int, ...] | None = None) -> Field
     low degree first) may be supplied; it is validated.  The default is
     the lexicographically smallest one, so repeated builds are identical.
     """
+    p, f = operator.index(p), operator.index(f)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if f < 1:
@@ -415,7 +400,7 @@ def build_field(p: int, f: int, modulus: tuple[int, ...] | None = None) -> Field
     antilog = _antilog_table(p, f, q, mod_low, gamma)
     log = np.full(q, -1, dtype=np.int64)
     log[antilog] = np.arange(q - 1, dtype=np.int64)
-    trace = _trace_table(p, _basis_traces(p, f, mod_low))
+    trace = _trace_table(p, mod_low)
     # construction sanity: powers of gamma enumerate the q-1 nonzero elements.
     # No entry is zero or negative (a negative one wraps in the scatter), and
     # every nonzero element has a log, so the q-1 entries hold no repeat.

@@ -135,6 +135,7 @@ class GaussSumNumeric(NamedTuple):
 @lru_cache(maxsize=None)
 def mult_order(a: int, n: int) -> int:
     """Multiplicative order of a modulo n."""
+    a, n = operator.index(a), operator.index(n)
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     if math.gcd(a, n) != 1:
@@ -153,7 +154,7 @@ def _reduce_order(a: int, n: int, order: int, primes) -> int:
 
 def classify_index2(p: int, N: int) -> Index2Case:
     """Decide whether <p> has index 2 in (Z/NZ)* without containing -1."""
-    return _classify_index2(p, N, None)
+    return _classify_index2(operator.index(p), operator.index(N), None)
 
 
 def _classify_index2(p: int, N: int, fac: dict[int, int] | None) -> Index2Case:
@@ -245,6 +246,7 @@ def semiprimitive_gauss(p: int, N: int, r: int) -> SemiprimitiveGauss:
     for odd p.  The order 2t of p modulo N divides r, so it comes from the
     factors of r, and N is never factored.
     """
+    p, N, r = operator.index(p), operator.index(N), operator.index(r)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if N <= 2:
@@ -369,6 +371,7 @@ def index2_gauss_prime_power(p: int, p1: int, m: int) -> QuadraticGaussValue:
     f = phi(N)/2, h = h(Q(sqrt(-p1))), h0 = (f-h)/2, and b is pinned by
     b * p^{h0} = -2 mod p1.
     """
+    p, p1, m = operator.index(p), operator.index(p1), operator.index(m)
     if not is_prime(p) or not is_prime(p1):
         raise ValueError("p and p1 must be prime")
     if p1 <= 3:
@@ -396,6 +399,7 @@ def index2_gauss_two_primes(p: int, p1: int, p2: int, m: int) -> QuadraticGaussV
     theory (two primes divide the discriminant), and b is pinned by
     b = 2 p^{h/2} modulo whichever of p1, p2 is 3 mod 4.
     """
+    p, p1, p2, m = operator.index(p), operator.index(p1), operator.index(p2), operator.index(m)
     if not (is_prime(p) and is_prime(p1) and is_prime(p2)):
         raise ValueError("p, p1, p2 must all be prime")
     if p1 == p2:

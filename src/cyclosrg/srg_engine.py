@@ -354,6 +354,7 @@ def predicted_spectrum_prime_power(p: int, p1: int, m: int) -> PredictedSpectrum
         zero branch:   b p^{h0} / 2 - b p^{h0} / (2 p1) - 1/p1
         +- branches: +-c p^{h0} / 2 - b p^{h0} / (2 p1) - 1/p1
     """
+    p, p1, m = operator.index(p), operator.index(p1), operator.index(m)
     gauss = index2_gauss_prime_power(p, p1, m)
     if gauss.f * p.bit_length() > PREDICTION_BITS_CAP:
         raise ValueError(f"p^f = {p}^{gauss.f} exceeds the cap of {PREDICTION_BITS_CAP} bits")
@@ -376,6 +377,7 @@ def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> Predicted
     Five candidates c_plus, c_minus, c_one, c_two, c_three; strong regularity
     is exactly the collapse of the last three onto the first two.
     """
+    p, p1, p2, m = operator.index(p), operator.index(p1), operator.index(p2), operator.index(m)
     gauss = index2_gauss_two_primes(p, p1, p2, m)
     if gauss.f * p.bit_length() > PREDICTION_BITS_CAP:
         raise ValueError(f"p^f = {p}^{gauss.f} exceeds the cap of {PREDICTION_BITS_CAP} bits")
@@ -422,11 +424,13 @@ class ScanTables:
     0 marking every other d.  Outside 1 <= n <= bound, for d not squarefree,
     and in ScanTables(), the module functions answer or refuse.  The orders
     ord_ell(p) are kept per (p, ell) as they are asked for, with the prime
-    divisors of each ell - 1 found once; ScanTables() keeps none.
+    divisors of each ell - 1 found once.
     """
 
     def __init__(self, bound: int = 0):
         self.bound = bound
+        self._orders: dict[tuple[int, int], int] = {}
+        self._order_primes: dict[int, list[int]] = {}
         if bound:
             self.spf = smallest_prime_factors(bound).tolist()
             d = np.arange(bound + 1)
@@ -434,8 +438,6 @@ class ScanTables:
             for i in range(2, math.isqrt(bound) + 1):
                 h[i * i :: i * i] = 0
             self.class_numbers = h.tolist()
-            self._orders: dict[tuple[int, int], int] = {}
-            self._order_primes: dict[int, list[int]] = {}
 
     def is_prime(self, n: int) -> bool:
         return n >= 2 and self.spf[n] == n if n <= self.bound else is_prime(n)
@@ -454,8 +456,6 @@ class ScanTables:
 
     def order(self, p: int, ell: int) -> int:
         """The multiplicative order of p modulo the prime ell, which must not divide p."""
-        if not self.bound:
-            return _reduce_order(p, ell, ell - 1, self.factorize(ell - 1))
         order = self._orders.get((p, ell))
         if order is None:
             primes = self._order_primes.get(ell)
@@ -546,12 +546,9 @@ def _pair_reasons(p: int, p1: int, nt: ScanTables) -> tuple[tuple[str, ...], int
         reasons.append(REASON_P1_TOO_SMALL)
     if p1 % 4 != 3:
         reasons.append(REASON_MOD4_PATTERN)
-    if p1 % 2:
-        # the order modulo p1^2 is the order o modulo p1, or p1 o
-        order = nt.order(p, p1)
-        if order != (p1 - 1) // 2 or pow(p, order, p1 * p1) == 1:
-            reasons.append(REASON_NOT_INDEX2)
-    else:
+    # the order modulo p1^2 is the order o modulo p1, or p1 o
+    order = nt.order(p, p1)
+    if order != (p1 - 1) // 2 or pow(p, order, p1 * p1) == 1:
         reasons.append(REASON_NOT_INDEX2)
     if 1 + p1 != 4 * p**h:
         reasons.append(REASON_DIOPHANTINE_FAIL)

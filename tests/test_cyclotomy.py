@@ -354,6 +354,7 @@ def test_inexact_inputs_are_refused(bad):
     cm = classify(fld, 5)
     calls = [
         lambda: CyclotomicInteger(3, (bad, 0)),
+        lambda: CyclotomicInteger(bad, (0, 0)),
         lambda: CyclotomicInteger.from_exponent_counts(3, [bad, 0, 0]),
         lambda: CyclotomicInteger.from_int(3, bad),
         lambda: classify(fld, bad),

@@ -85,6 +85,10 @@ def test_scan_pairs_rejection_reasons():
     assert REASON_NOT_INDEX2 in report.rejection_reasons(2, 11)
     assert REASON_P1_TOO_SMALL in report.rejection_reasons(2, 3)
     assert REASON_NOT_COPRIME in report.rejection_reasons(7, 7)
+    # the even p1 = 2 goes through the same order test, which finds ord_2(3) = 1, not 0
+    assert report.rejection_reasons(3, 2) == pair_family_check(3, 2).reasons == (
+        REASON_P1_TOO_SMALL, REASON_MOD4_PATTERN, REASON_NOT_INDEX2, REASON_DIOPHANTINE_FAIL,
+    )
     with pytest.raises(KeyError):
         report.rejection_reasons(2, 7)  # a hit, so not in the rejection list
 

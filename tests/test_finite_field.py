@@ -11,7 +11,6 @@ from cyclosrg.finite_field import (
     _CHUNK_VALUES,
     SIZE_CAP,
     FieldTable,
-    _basis_traces,
     _digits,
     _find_generator,
     _is_irreducible,
@@ -89,11 +88,22 @@ def _slow_search(p, f):
     return mod_low + (1,), gamma
 
 
+def _newton_basis_traces(p, f, mod_low):
+    # power sums s_k = Tr(alpha**k) of the modulus root alpha = x, by Newton's identities
+    s = [f % p] + [0] * (f - 1)
+    for k in range(1, f):
+        acc = k * mod_low[f - k]
+        for i in range(1, k):
+            acc += mod_low[f - i] * s[k - i]
+        s[k] = (-acc) % p
+    return s
+
+
 def _slow_trace(p, f, mod_low):
     # int64 digit sum of every encoding against the basis traces, one digit at a time
     x = np.arange(p**f, dtype=np.int64)
     acc = np.zeros_like(x)
-    for si in _basis_traces(p, f, mod_low):
+    for si in _newton_basis_traces(p, f, mod_low):
         acc += x % p * si
         acc %= p
         x //= p
@@ -287,6 +297,34 @@ def test_numpy_integers_stay_exact_field_inputs():
     assert fld.trace_of(np.int64(2)) == fld.trace_of(2)
     assert fld.pow_element(np.int64(2), np.int64(3)) == fld.pow_element(2, 3)
     assert gauss_sum_numeric(fld, np.int64(5), np.int64(1)) == gauss_sum_numeric(fld, 5, 1)
+    # every scalar method answers with a Python int, for 0 and in characteristic 2 too
+    for fld in (get_field(2, 1), get_field(2, 3), get_field(3, 2), get_field(13, 1)):
+        for x in (0, 1, 3 % fld.q, fld.q - 1):
+            unary = [fld.neg, fld.trace_of, lambda y: fld.pow_element(y, np.int64(2))]
+            binary = [fld.mul, fld.add, fld.sub]
+            if x:
+                unary += [fld.inv, fld.dlog]
+            for method in unary:
+                got = method(np.int64(x))
+                assert type(got) is int and got == method(x), (fld, x, method)
+            for method in binary:
+                got = method(np.int64(x), np.uint8(1))
+                assert type(got) is int and got == method(x, 1), (fld, x, method)
+
+
+@pytest.mark.parametrize(
+    "p, f",
+    [(np.int64(2), 4), (2, np.int32(5)), (np.int64(3), 2), (np.uint8(7), 3), (3, np.uint8(3)), (np.int32(13), 1)],
+    ids=["int64-p2", "int32-f5", "int64-p3", "uint8-p7", "uint8-f3", "int32-p13"],
+)
+def test_build_field_takes_numpy_integers(p, f):
+    # uint8 arithmetic would wrap in the modulus search; numpy ints have no bit_length
+    fld, ref = build_field(p, f), build_field(int(p), int(f))
+    assert all(type(n) is int for n in (fld.p, fld.f, fld.q))
+    assert (fld.p, fld.f, fld.q, fld.modulus) == (ref.p, ref.f, ref.q, ref.modulus)
+    for name in ("antilog", "log", "trace"):
+        got, want = getattr(fld, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_tables_are_read_only():
@@ -324,7 +362,7 @@ def test_tables_match_slow_reference():
         place = p ** np.arange(f)
         assert np.array_equal(fld.antilog, np.array(powers) @ place), (p, f)
         digits = np.arange(fld.q)[:, None] // place % p
-        assert np.array_equal(fld.trace, digits @ _basis_traces(p, f, mod_low) % p), (p, f)
+        assert np.array_equal(fld.trace, digits @ _newton_basis_traces(p, f, mod_low) % p), (p, f)
 
 
 @pytest.mark.parametrize(
@@ -348,6 +386,11 @@ def test_matrix_power_search_matches_scalar_reference():
             found = (modulus, _find_generator(p, f, p**f, modulus[:f]))
             assert found == _slow_search(p, f), (p, f)
             f += 1
+    # prime fields: the smallest primitive root, found by scalar pow
+    for p in [*filter(is_prime, range(2, 1 << 12)), 4194301]:
+        exponents = [(p - 1) // ell for ell in prime_factors(p - 1)]
+        root = next(e for e in range(1, p) if all(pow(e, t, p) != 1 for t in exponents))
+        assert _find_generator(p, 1, p, (0,)) == root, p
 
 
 # (3, 6) has l in {2, 3}: a product of three distinct quadratics passes

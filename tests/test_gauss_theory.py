@@ -3,6 +3,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 from cyclosrg.gauss_theory import (
@@ -23,7 +24,7 @@ from cyclosrg.gauss_theory import (
     semiprimitive_gauss,
 )
 from cyclosrg.ntheory import euler_phi, factorize, is_squarefree, primes_upto
-from cyclosrg.srg_engine import ScanTables
+from cyclosrg.srg_engine import ScanTables, predicted_spectrum_prime_power, predicted_spectrum_two_primes
 
 from conftest import get_field
 
@@ -478,6 +479,28 @@ def test_index2_domain_errors():
         index2_gauss_two_primes(2, 5, 5, 1)
     with pytest.raises(ValueError, match="two-prime index-2"):
         index2_gauss_two_primes(2, 13, 7, 1)  # gcd(phi) too large, index 6
+
+
+_CLOSED_FORM_CALLS = {
+    "semiprimitive": (semiprimitive_gauss, (2, 3, 2)),
+    "index2-prime-power": (index2_gauss_prime_power, (2, 7, 1)),
+    "index2-two-primes": (index2_gauss_two_primes, (2, 3, 5, 1)),
+    "mult-order": (mult_order, (10, 10007)),
+    "classify-index2": (classify_index2, (2, 7)),
+    "predicted-prime-power": (predicted_spectrum_prime_power, (2, 7, 1)),
+    "predicted-two-primes": (predicted_spectrum_two_primes, (2, 3, 5, 1)),
+}
+
+
+@pytest.mark.parametrize("call, args", list(_CLOSED_FORM_CALLS.values()), ids=list(_CLOSED_FORM_CALLS))
+def test_closed_forms_take_numpy_integers(call, args):
+    # numpy ints have no bit_length and refuse three-argument pow; mult_order's
+    # cache would answer for equal Python ints, so it is cleared first
+    getattr(call, "cache_clear", lambda: None)()
+    got = call(*map(np.int64, args))
+    assert got == call(*args)
+    fields = [got] if isinstance(got, int) else vars(got).values()
+    assert not any(isinstance(v, np.generic) for v in fields)
 
 
 # ---------------------------------------------------------------------------

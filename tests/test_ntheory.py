@@ -129,4 +129,3 @@ def test_scan_table_orders_match_mult_order():
                 assert tables.order(p, ell) == direct.order(p, ell) == expected, (p, ell)
     # asked again, the kept orders give the same answers
     assert [tables.order(2, ell) for ell in primes[1:]] == [mult_order(2, ell) for ell in primes[1:]]
-    assert not hasattr(direct, "_orders")

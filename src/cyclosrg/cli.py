@@ -37,7 +37,7 @@ from .gauss_theory import (
     index2_gauss_two_primes,
     semiprimitive_gauss,
 )
-from .srg_engine import certificates_agree, difference_count_oracle, srg_from_spectrum
+from .srg_engine import verify_union
 
 
 def _cell(value) -> str:
@@ -145,25 +145,20 @@ def _cmd_verify_srg(args):
     fld = build_field(args.p, args.f)
     cm = classify(fld, args.n)
     D = tuple(sorted(args.classes))
-    if not cm.is_symmetric(D):
-        raise ValueError("connection set is not symmetric (-D != D); the Cayley graph would be directed")
-    sums = cm.connection_sums(D)
+    distinct, cert, oracle_agrees = verify_union(cm, D, "SPECTRUM", args.oracle)
     N = cm.N
     k = len(D) * (fld.q - 1) // N
-    cert = srg_from_spectrum(fld.q, k, sums, source="SPECTRUM")
     inputs = {"p": fld.p, "p1": None, "p2": None, "m": None, "N": N, "D": list(D)}
     data = {
         "ok": cert is not None,
         "v": fld.q,
         "k": k,
         # distinct connection sums, as ints when rational else coefficient lists
-        "spectrum": [s.to_int() if s.is_rational_integer else list(s.coeffs) for s in dict.fromkeys(sums)],
+        "spectrum": [s.to_int() if s.is_rational_integer else list(s.coeffs) for s in distinct],
         "certificate": None if cert is None else cert.to_json_dict(inputs=inputs),
         "oracle_ran": args.oracle,
-        "oracle_agrees": None,
+        "oracle_agrees": oracle_agrees,
     }
-    if args.oracle:
-        data["oracle_agrees"] = certificates_agree(cert, difference_count_oracle(cm, D))
 
     def pretty():
         lines = [

@@ -25,10 +25,9 @@ from .srg_engine import (
     _triple_hit,
     _triple_reasons,
     certificates_agree,
-    difference_count_oracle,
     predicted_spectrum_prime_power,
     predicted_spectrum_two_primes,
-    srg_from_spectrum,
+    verify_union,
 )
 
 # Scans build their tables up to their bounds and test every candidate in the
@@ -228,29 +227,25 @@ class ExampleReport:
 def verify_named_example(name: str) -> ExampleReport:
     """Full pipeline on one named instance.
 
-    Builds the field, computes the exact connection sums, derives the
-    certificate from the spectrum, compares with the closed-form
-    prediction, and for q <= 4096 replays the difference-count oracle.
+    Builds the field, decides the union with verify_union, which replays
+    the difference-count oracle for q <= 4096, and compares the certificate
+    with the closed-form prediction.
     """
     if name not in NAMED_EXAMPLES:
         known = ", ".join(sorted(NAMED_EXAMPLES))
         raise ValueError(f"unknown example {name!r}; known names: {known}")
     ex = NAMED_EXAMPLES[name]
     field = build_field(ex.p, ex.f)
-    cm = classify(field, ex.n)
-    sums = cm.connection_sums(ex.classes)
-    distinct = list(dict.fromkeys(sums))
+    oracle_ran = field.q <= _ORACLE_Q_CAP
+    distinct, cert, oracle_agrees = verify_union(classify(field, ex.n), ex.classes, "COMPUTED", oracle_ran)
     if all(val.is_rational_integer for val in distinct):
         spectrum = tuple(sorted((val.to_int() for val in distinct), reverse=True))
     else:
         spectrum = tuple(repr(val) for val in distinct)
     k = ex.k
-    cert = srg_from_spectrum(field.q, k, sums, source="COMPUTED")
     predicted = ex.predicted()
     predicted_values = tuple(predicted.integer_values()) if predicted.integral else None
     predicted_matches = cert is not None and certificates_agree(cert, predicted.certificate())
-    oracle_ran = field.q <= _ORACLE_Q_CAP
-    oracle_agrees = certificates_agree(cert, difference_count_oracle(cm, ex.classes)) if oracle_ran else None
     ok = predicted_matches and oracle_agrees is not False
     return ExampleReport(
         example=ex, q=field.q, k=k, spectrum=spectrum, certificate=cert, predicted_values=predicted_values,

@@ -31,6 +31,8 @@ independent floating point evaluation for cross-checks.
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -117,10 +119,14 @@ class QuadraticGaussValue:
             raise ValueError("b and c must be prime to p")
 
     def conjugate_values(self) -> tuple[complex, complex]:
-        """The two numeric candidates (c > 0 and c < 0)."""
-        root = complex(0.0, math.sqrt(self.delta))
-        scale = float(self.p**self.h0)
-        plus = (self.b + self.c_abs * root) / 2 * scale
+        """The two numeric candidates (c > 0 and c < 0); ValueError when they are not finite floats."""
+        # p >= 2, so p^h0 >= 2^1024 exceeds the float range from h0 = 1024 on; refuse before forming it
+        plus = complex("inf")
+        if self.h0 < 1024:
+            with contextlib.suppress(OverflowError):
+                plus = (self.b + self.c_abs * complex(0.0, math.sqrt(self.delta))) / 2 * float(self.p**self.h0)
+        if not cmath.isfinite(plus):
+            raise ValueError("the numeric values ((b +- c sqrt(-delta))/2) p^h0 overflow a float")
         return plus, plus.conjugate()
 
 

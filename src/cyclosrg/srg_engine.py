@@ -17,6 +17,11 @@ shared function, _certificate, whose result SrgCertificate re-checks:
 * predicted_spectrum_*: closed-form eigenvalue candidates straight from the
   quadratic Gauss sum certificate (b, c, h0).
 
+A class union is decided in one place, verify_union: it refuses a union
+that is not symmetric, passes the distinct connection sums to
+srg_from_spectrum, and runs the oracle when asked.  The CLI's verify-srg
+and verify-example (through verify_named_example) both call it.
+
 A conference-graph spectrum (two conjugate irrational eigenvalues) is
 accepted when r+s and r*s are rational integers, which srg_from_spectrum
 decides in the quadratic subfield of Q(xi_p); r and s stay None, both
@@ -117,8 +122,8 @@ class SrgCertificate:
             and (self.degenerate, self.irrational) == (other.degenerate, other.irrational)
         )
 
-    def to_json_dict(self, inputs: dict | None = None) -> dict:
-        out = {
+    def to_json_dict(self, inputs: dict) -> dict:
+        return {
             "source": self.source,
             "v": self.v,
             "k": self.k,
@@ -130,10 +135,8 @@ class SrgCertificate:
             "mult_s": self.mult_s,
             "degenerate_flag": self.degenerate,
             "irrational_eigenvalues": self.irrational,
+            "inputs": inputs,
         }
-        if inputs is not None:
-            out["inputs"] = inputs
-        return out
 
 
 def certificates_agree(cert: SrgCertificate | None, other: SrgCertificate | None) -> bool:
@@ -291,6 +294,16 @@ def difference_count_oracle(cm: ClassMap, D) -> SrgCertificate | None:
     return cert
 
 
+def verify_union(cm: ClassMap, D, source: str, oracle: bool) -> tuple[tuple, SrgCertificate | None, bool | None]:
+    """Decide the symmetric union D: distinct sums by first occurrence, certificate, oracle agreement or None."""
+    d = cm._check_classes(D)
+    if not cm.is_symmetric(d):
+        raise ValueError("connection set is not symmetric (-D != D); the Cayley graph would be directed")
+    distinct = tuple(dict.fromkeys(cm.connection_sums(d)))
+    cert = srg_from_spectrum(cm.field.q, len(d) * cm.class_size, distinct, source)
+    return distinct, cert, certificates_agree(cert, difference_count_oracle(cm, d)) if oracle else None
+
+
 # ---------------------------------------------------------------------------
 # closed-form predictions
 
@@ -338,11 +351,11 @@ class PredictedSpectrum:
         pm = {named["c_plus"], named["c_minus"]}
         return all(named[t] in pm for t in ("c_one", "c_two", "c_three"))
 
-    def certificate(self, source: str = "PREDICTED") -> SrgCertificate | None:
+    def certificate(self) -> SrgCertificate | None:
         """Certificate from the predicted values, when they are integral."""
         if not self.integral:
             return None
-        return srg_from_spectrum(self.v, self.k, self.integer_values(), source=source)
+        return srg_from_spectrum(self.v, self.k, self.integer_values(), source="PREDICTED")
 
 
 def predicted_spectrum_prime_power(p: int, p1: int, m: int) -> PredictedSpectrum:

@@ -100,7 +100,7 @@ def test_verify_srg_directed_is_domain_error(capsys):
         capsys, "verify-srg", "--p", "7", "--f", "1", "--n", "6", "--classes", "0"
     )
     assert code == 2 and out == ""
-    assert "symmetric" in err
+    assert err == "error: connection set is not symmetric (-D != D); the Cayley graph would be directed\n"
 
 
 def test_duplicate_classes_rejected(capsys):
@@ -266,12 +266,21 @@ _GOLDEN = [
     ("verify-srg --p 13 --f 1 --n 2 --classes 0 --oracle --format json", 0, "ab9d1099f06b1f5bf805a71d2f90f3c3b6fbfeaa2c91fe2f30f432ebc73fcc87"),
     ("verify-srg --p 13 --f 1 --n 2 --classes 0 --oracle --format tsv", 0, "8f0057b49142cbfed93351b5080cecafc230166b154da6acdf8ea26179472965"),
     ("verify-srg --p 13 --f 1 --n 2 --classes 0 --oracle --format pretty", 0, "2280bae268a33845c8023a0ceec62ecf02c761e0dd4fa741fb257788ccf6992f"),
+    ("verify-srg --p 7 --f 1 --n 3 --classes 0 --format json", 1, "e7d18722ec4969fb79937e2facf0d615f46e572ea7ba162c03285242652aac29"),
+    ("verify-srg --p 7 --f 1 --n 3 --classes 0 --format tsv", 1, "4472247d9d474315ba37d78dd0bf1085c8a75a863e014d672be571334700d534"),
+    ("verify-srg --p 7 --f 1 --n 3 --classes 0 --format pretty", 1, "1c5cf916dd80ae270229816233fd6cd412dab5086e2ce8f17e67189795e01cf1"),
+    ("verify-srg --p 7 --f 1 --n 3 --classes 0 --oracle --format json", 1, "e660719c782a62fe28f061998d5431281e9667a6099162c6a77d9820e011ca91"),
+    ("verify-srg --p 7 --f 1 --n 3 --classes 0 --oracle --format tsv", 1, "b208ade34d9dd2a83a9cc346b098175d94a12e721486fd3339d50476a5e00763"),
+    ("verify-srg --p 7 --f 1 --n 3 --classes 0 --oracle --format pretty", 1, "5a3f0b2eadbd36560ebf573637df2da1b206e9a4bbb1434bcc40f63d8c245c33"),
     ("verify-example --name delange --format json", 0, "aefdafc57db2c6216d45981f9085f0a0d5c3887ab3d220d228509a90e4c819ab"),
     ("verify-example --name delange --format tsv", 0, "cbb13831b266cff027ee5336d09ede9b6dd1178d00de01e20afe63509207817f"),
     ("verify-example --name delange --format pretty", 0, "b4a7abdd76cdab90762dbc44659478371c8dbc0599bbc9291d7739929a1b5d83"),
     ("verify-example --name ex51_m1 --format json", 0, "46ac22ad1eb6a89c9e56b6476cfef42f14ac09e083ae1472034272030e9c11d4"),
     ("verify-example --name ex51_m1 --format tsv", 0, "6cdbcfdbded6461cb2d670971cdc74dd5fde7e1538b700639e998a5dcef4df04"),
     ("verify-example --name ex51_m1 --format pretty", 0, "17be1d3f51ecb7d3ec1864f18b7e1abe698ec9068e2b76ed1fcebbe7a23160fa"),
+    ("verify-example --name ex53_m1 --format json", 0, "5d4d0d6c51da2f2e3c33b565a3512c1ef63b3ce32897ba6dbc471e99c2d26374"),
+    ("verify-example --name ex53_m1 --format tsv", 0, "03cdce32ce33fac3261ec762fcdc650bb0fb61fc5be5f1d2b7ed9016c2f59a54"),
+    ("verify-example --name ex53_m1 --format pretty", 0, "8260f59c33ca5b4a88c6fda54e23e51661de5efad4f9b423e291ff1b9da76ab8"),
     ("verify-example --name nosuch --format json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify-example --name nosuch --format tsv", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify-example --name nosuch --format pretty", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -12,6 +12,7 @@ from cyclosrg.gauss_theory import (
     SEMIPRIMITIVE_BITS_CAP,
     Index2Case,
     Index2Kind,
+    QuadraticGaussValue,
     _solve_quadratic_form,
     _sqrt_mod_prime_power,
     class_number,
@@ -337,6 +338,23 @@ def test_prime_power_gauss_matches_numeric_f8():
     num = gauss_sum_numeric(fld, 7, 1).value
     assert min(abs(num - plus), abs(num - minus)) < 1e-9
     assert abs(abs(num) ** 2 - 8) < 1e-9
+
+
+def test_conjugate_values_refuse_the_float_overflow():
+    # h0 = 3601 overflowed float(p^h0); h0 of 384 digits formed p^h0 without end
+    for args in [(2, 7, 5), (2, 999983, 64)]:
+        g = index2_gauss_prime_power(*args)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="overflow a float"):
+            g.conjugate_values()
+        assert time.perf_counter() - start < 0.5, args
+    # 2^1023 is a finite float, but (5 + sqrt(-7))/2 times it is not
+    with pytest.raises(ValueError, match="overflow a float"):
+        QuadraticGaussValue(2, 7, 2049, 3, 1023, 5, 1).conjugate_values()
+    # h0 = 514 stays inside the float range, with the values it always had
+    plus, minus = index2_gauss_prime_power(2, 7, 4).conjugate_values()
+    assert plus == complex(-2.6815615859885194e154, 7.094745081829568e154)
+    assert minus == plus.conjugate()
 
 
 def test_two_primes_gauss_small():

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from cyclosrg import srg_engine
 from cyclosrg.cyclotomy import CyclotomicInteger, classify
 from cyclosrg.gauss_theory import mult_order
-from cyclosrg.ntheory import divisors, is_prime
+from cyclosrg.ntheory import divisors, factorize, is_prime
 from cyclosrg.srg_engine import (
     REASON_DIOPHANTINE_FAIL,
     REASON_MOD4_PATTERN,
@@ -438,6 +439,76 @@ def test_spectrum_agrees_with_oracle_up_to_q_2_16(case):
     assert (from_spectrum is None) == (from_oracle is None)
     if from_spectrum is not None:
         assert from_spectrum.same_graph_data(from_oracle)
+
+
+_DIRECTED = "connection set is not symmetric (-D != D); the Cayley graph would be directed"
+
+
+def _reference_union(cm, D, source, oracle):
+    # the union pipeline as verify-srg ran it inline before verify_union:
+    # all N sums to srg_from_spectrum, duplicates removed again for the spectrum
+    D = tuple(sorted(D))
+    if not cm.is_symmetric(D):
+        raise ValueError(_DIRECTED)
+    sums = cm.connection_sums(D)
+    k = len(D) * (cm.field.q - 1) // cm.N
+    cert = srg_from_spectrum(cm.field.q, k, sums, source=source)
+    agrees = certificates_agree(cert, difference_count_oracle(cm, D)) if oracle else None
+    return tuple(dict.fromkeys(sums)), cert, agrees
+
+
+def test_verify_union_matches_inline_pipeline():
+    # every field with q <= 256, every N in [2, 24] dividing q - 1, seeded symmetric unions
+    seen = {"conference": 0, "irrational_non_srg": 0, "srg": 0, "directed": 0}
+    for q in range(3, 257):
+        fac = factorize(q)
+        if len(fac) != 1:
+            continue
+        ((p, f),) = fac.items()
+        for N in (N for N in divisors(q - 1) if 2 <= N <= 24):
+            cm = classify(get_field(p, f), N)
+            rng = random.Random(q * 100 + N)
+            t = cm.negation_shift
+            orbits = sorted({tuple(sorted({i, (i + t) % N})) for i in range(N)})
+            for _ in range(3):
+                chosen = [o for o in orbits if rng.random() < 0.5] or [rng.choice(orbits)]
+                D = [i for o in chosen for i in o]
+                rng.shuffle(D)
+                for source, oracle in (("SPECTRUM", False), ("COMPUTED", True)):
+                    got = srg_engine.verify_union(cm, D, source, oracle)
+                    want = _reference_union(cm, D, source, oracle)
+                    assert got[0] == want[0] and [type(x) for x in got[0]] == [type(x) for x in want[0]]
+                    assert (repr(got[1]), got[2]) == (repr(want[1]), want[2]), (q, N, D, source)
+                cert, distinct = got[1], got[0]
+                if cert is not None:
+                    seen["conference" if cert.irrational else "srg"] += 1
+                elif any(not s.is_rational_integer for s in distinct):
+                    seen["irrational_non_srg"] += 1
+            if t:  # one class alone is not symmetric
+                for fn in (srg_engine.verify_union, _reference_union):
+                    with pytest.raises(ValueError) as info:
+                        fn(cm, [0], "SPECTRUM", True)
+                    assert str(info.value) == _DIRECTED
+                seen["directed"] += 1
+    assert all(seen.values()), seen
+
+
+def test_verify_union_passes_only_distinct_sums(monkeypatch):
+    calls = []
+
+    def spy(v, k, values, source="SPECTRUM"):
+        calls.append(list(values))
+        return srg_from_spectrum(v, k, values, source)
+
+    monkeypatch.setattr(srg_engine, "srg_from_spectrum", spy)
+    # each case has N sums but fewer distinct values, certified or not
+    for p, f, N, D in [(2, 4, 5, (0,)), (2, 4, 15, (0, 1)), (2, 6, 9, (0, 1)), (2, 6, 21, (0, 7, 14)), (17, 1, 4, (0, 2))]:
+        cm = classify(get_field(p, f), N)
+        distinct, _, _ = srg_engine.verify_union(cm, D, "SPECTRUM", True)
+        assert len(cm.connection_sums(D)) == N > len(distinct)
+        assert calls[-1] == list(distinct)
+        assert len(set(calls[-1])) == len(calls[-1])
+    assert len(calls) == 5
 
 
 def test_certificates_agree_rule():

@@ -11,9 +11,14 @@ over a class, folded into the power basis {1, xi, ..., xi^{p-2}} using
 1 + xi + ... + xi^{p-1} = 0.
 
 gamma^i lies in C_{i mod N}, so the classes are the columns of the antilog
-table viewed as a (q-1)/N x N array: column a lists C_a in log order.  Both
-the trace tally and the elements of a union of classes are read off that
-view.
+table viewed as a (q-1)/N x N array: column a lists C_a in log order.  The
+elements of a union of classes are read off that view.  The trace tally
+counts traces one column at a time.  x -> x^p maps C_a onto C_{pa mod N} and
+keeps the trace, so tally rows are constant on the orbits of a -> pa mod N.
+On a large field whose antilog table is not built yet, and whose orbits are
+few, the tally counts only one column per orbit, gamma^(a + Nj) built by
+FieldTable.class_columns, and copies its row to the rest of the orbit; else
+it counts all N columns of the antilog table.
 
 Z[xi_p] is kept as an additive group: no product is formed.  The one
 quadratic subfield Q(sqrt(p*)), p* = (-1)^((p-1)/2) p, is read off the
@@ -36,6 +41,9 @@ import numpy as np
 from .finite_field import FieldTable
 
 _TALLY_CELL_CAP = 1 << 25
+# a doubling step of the power tables costs about as much as filling this
+# many more elements (BENCH_19.json, "step_cost")
+_STEP_COST = 1 << 14
 
 
 class CyclotomicInteger:
@@ -203,20 +211,55 @@ class ClassMap:
             p = self.field.p
             if self.N * p > _TALLY_CELL_CAP:
                 raise ValueError(f"period tally table would need {self.N * p} cells, cap is {_TALLY_CELL_CAP}")
-            tr = self.field.trace[self.field.antilog].reshape(-1, self.N)
-            flat = tr + p * np.arange(self.N, dtype=np.int64)
-            tally = np.bincount(flat.ravel(), minlength=self.N * p).reshape(self.N, p)
+            orbits = self._orbits()
+            if orbits is None:
+                tr = self.field.trace[self.field.antilog].reshape(-1, self.N)
+            else:
+                reps, orbit_of = orbits
+                tr = self.field.trace[self.field.class_columns(self.N, reps)]
+            # one bincount over the columns: column k counts into cells [k p, k p + p)
+            flat = tr + p * np.arange(tr.shape[1], dtype=np.int64)
+            tally = np.bincount(flat.ravel(), minlength=tr.shape[1] * p).reshape(-1, p)
+            if orbits is not None:
+                tally = tally[orbit_of]
             tally.setflags(write=False)
             self._tally = tally
         return self._tally
+
+    def _orbits(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(reps, orbit_of) when one column per p-orbit costs less than the antilog table, else None.
+
+        reps are the least members of the orbits of a -> p a mod N, and
+        orbit_of[a] is the index of a's orbit.  The cost counts the elements
+        class_columns fills, N + 1 + r (q-1)/N for r orbits, plus _STEP_COST per
+        doubling step.  Orbits have at most f members, so r >= N/f bounds the
+        cost before the orbits are found.
+        """
+        fld, N, m = self.field, self.N, self.class_size
+
+        def cheaper(r: int) -> bool:
+            steps = N.bit_length() + (m - 1).bit_length()
+            return N + 1 + r * m + steps * _STEP_COST < fld.q - 1
+
+        if fld.tables_built or not cheaper(-(-N // fld.f)):
+            return None
+        least = a = np.arange(N, dtype=np.int64)
+        for _ in range(fld.f - 1):
+            a = a * fld.p % N
+            least = np.minimum(least, a)
+        reps, orbit_of = np.unique(least, return_inverse=True)
+        return (reps, orbit_of) if cheaper(len(reps)) else None
 
     def periods(self) -> list[CyclotomicInteger]:
         return _fold_rows(self.field.p, self.tally)
 
     @property
     def negation_shift(self) -> int:
-        """t with -C_a = C_{a+t}, the log of -1 modulo N; 0 exactly when every class is symmetric."""
-        return self.field.dlog(self.field.p - 1) % self.N
+        """t with -C_a = C_{a+t}, the log of -1 modulo N; 0 exactly when every class is symmetric.
+
+        -1 has order gcd(2, q-1), so its log is (q-1)/2 for odd q and 0 for even q.
+        """
+        return (self.field.q - 1) // 2 % self.N if self.field.q % 2 else 0
 
     def is_symmetric(self, D) -> bool:
         """Whether the union of classes D is closed under negation."""

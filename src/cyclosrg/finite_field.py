@@ -8,16 +8,18 @@ irreducible polynomial of degree f over Z/pZ.  Encodings run over
 Construction is deterministic: the modulus is the lexicographically smallest
 monic irreducible (coefficients compared low degree first) and the generator
 gamma is the smallest encoding that is primitive.  Both searches take powers
-of the f x f matrix of multiplication by an element over F_p (1 x 1 at f = 1);
+of the f x f matrix of multiplication by an element over F_p (pow mod p at f = 1);
 the coprimality check of Rabin's test is a unit test by such a power, and
-the basis trace Tr(x**i) is the trace of the matrix of x**i.  The antilog
-table is filled by doubling: the block [s, 2s) is gamma**s times the block
+the basis trace Tr(x**i) is the trace of the matrix of x**i.  Tables of
+powers seed * c**j are filled by doubling: rows [s, 2s) are c**s times rows
 [0, s), x * c % p at f = 1.  For f >= 2, multiplication by c is F_p-linear in
 the digits; each chunk of an encoding's digits looks up the packed image of
 that chunk, and the chunk images are XORed (p = 2) or added and reduced slot
 by slot (odd p).  The trace is F_p-linear too: an XOR doubling at p = 2 and
-an outer sum over the digits at odd p.  After construction all arithmetic is
-table driven, and -1 is the encoding p - 1:
+an outer sum over the digits at odd p.  build_field finds the modulus, gamma
+and the trace table; antilog and log are built the first time either is
+read, and class_columns gives columns of antilog without it.  All arithmetic
+is table driven, and -1 is the encoding p - 1:
 
     antilog[i] = encoding of gamma**i          (length q-1)
     log[x]     = i with antilog[i] == x        (length q, log[0] == -1)
@@ -114,8 +116,10 @@ def _power_of(rows: np.ndarray, e: int, p: int) -> tuple[int, ...]:
     _mul_rows(a) @ _mul_rows(b) is _mul_rows(a * b), and row 0 of _mul_rows(a)
     holds the digits of a, so the power is kept as that row alone.  Entries
     of a product stay below f * p**2: under 2**27 for f >= 2 and q <= SIZE_CAP,
-    and p**2 < 2**44 for f = 1, so int64 is exact.
+    and p**2 < 2**44 for f = 1, so int64 is exact.  A 1 x 1 row is a power mod p.
     """
+    if len(rows) == 1:
+        return (pow(int(rows[0, 0]), e, p),)
     digits = np.zeros(len(rows), dtype=np.int64)
     digits[0] = 1
     while e:
@@ -213,27 +217,27 @@ class _LinearMap:
             out += decoder.take((acc >> (i * self.group_bits)) & mask)
 
 
-def _antilog_table(p: int, f: int, q: int, mod_low: tuple[int, ...], gamma: int) -> np.ndarray:
-    """gamma**i for i < q-1 by doubling: block [s, s+step) is gamma**s times block [0, step).
+def _power_table(p: int, f: int, mod_low: tuple[int, ...], seeds: np.ndarray, c: int, n: int) -> np.ndarray:
+    """seeds[k] * c**j as table[j, k] for j < n, by doubling: rows [s, s+step) are c**s times rows [0, step).
 
-    Every step works on encodings: x * c % p at f = 1, else _LinearMap with
-    the digit rows of multiplication by c = gamma**s.
+    Each doubling block is contiguous.  Every step works on encodings: x * c % p
+    at f = 1, else _LinearMap with the digit rows of multiplication by c**s.
     """
-    n = q - 1
-    table = np.empty(n, dtype=np.int64)
-    table[0] = 1
+    table = np.empty((n, len(seeds)), dtype=np.int64)
+    table[0] = seeds
     linear = _LinearMap(p, f) if f >= 2 else None
-    c = list(_digits(gamma, p, f))
+    c = list(_digits(c, p, f))
     size = 1
     while size < n:
         step = min(size, n - size)
-        block = table[size : size + step]
+        # row slices of a C-ordered array are contiguous, so reshape gives views
+        src, block = table[:step].reshape(-1), table[size : size + step].reshape(-1)
         rows = _mul_rows(c, mod_low, p)
         if linear is None:
-            np.multiply(table[:step], c[0], out=block)
+            np.multiply(src, c[0], out=block)
             block %= p
         else:
-            linear.apply(rows, table[:step], block)
+            linear.apply(rows, src, block)
         # sizes double until the last step, so the next constant is c**2
         c = (np.array(c, dtype=np.int64) @ rows % p).tolist()
         size += step
@@ -272,29 +276,66 @@ def _trace_table(p: int, mod_low: tuple[int, ...]) -> np.ndarray:
 class FieldTable:
     """Immutable table model of F_{p^f}; build with build_field.
 
-    antilog and log are int64; trace has dtype np.min_scalar_type(p - 1), so
-    arithmetic on its entries wraps unless they are widened first.
+    gamma and trace are computed by build_field.  antilog and log are int64
+    and are built together the first time either is read; tallies over large
+    fields can take columns of antilog from class_columns instead.  trace has
+    dtype np.min_scalar_type(p - 1), so arithmetic on its entries wraps unless
+    they are widened first.
     """
 
-    __slots__ = ("p", "f", "q", "modulus", "antilog", "log", "trace")
+    __slots__ = ("p", "f", "q", "modulus", "gamma", "trace", "_antilog", "_log")
 
-    def __init__(self, p: int, f: int, modulus: tuple[int, ...], antilog: np.ndarray, log: np.ndarray, trace: np.ndarray):
+    def __init__(self, p: int, f: int, modulus: tuple[int, ...], gamma: int, trace: np.ndarray):
         self.p = p
         self.f = f
         self.q = p**f
         self.modulus = modulus
-        self.antilog = antilog
-        self.log = log
+        self.gamma = gamma
         self.trace = trace
-        for arr in (antilog, log, trace):
-            arr.setflags(write=False)
+        trace.setflags(write=False)
+        self._antilog = self._log = None
 
     def __repr__(self) -> str:
         return f"FieldTable(p={self.p}, f={self.f}, q={self.q}, modulus={self.modulus})"
 
     @property
-    def gamma(self) -> int:
-        return int(self.antilog[1]) if self.q > 2 else 1
+    def antilog(self) -> np.ndarray:
+        return self._tables()[0]
+
+    @property
+    def log(self) -> np.ndarray:
+        return self._tables()[1]
+
+    @property
+    def tables_built(self) -> bool:
+        return self._antilog is not None
+
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._antilog is None:
+            q = self.q
+            antilog = self._powers(np.ones(1, dtype=np.int64), self.gamma, q - 1).reshape(-1)
+            log = np.full(q, -1, dtype=np.int64)
+            log[antilog] = np.arange(q - 1, dtype=np.int64)
+            # construction sanity: powers of gamma enumerate the q-1 nonzero elements.
+            # No entry is zero or negative (a negative one wraps in the scatter), and
+            # every nonzero element has a log, so the q-1 entries hold no repeat.
+            if antilog.min() < 1 or log[1:].min() < 0:
+                raise AssertionError("antilog table is not a bijection onto F_q*")
+            for arr in (antilog, log):
+                arr.setflags(write=False)
+            self._antilog, self._log = antilog, log
+        return self._antilog, self._log
+
+    def _powers(self, seeds: np.ndarray, c: int, n: int) -> np.ndarray:
+        return _power_table(self.p, self.f, self.modulus[:-1], seeds, c, n)
+
+    def class_columns(self, N: int, a: np.ndarray) -> np.ndarray:
+        """Columns a of antilog.reshape(-1, N), gamma**(a[k] + N*j) at [j, k], built without antilog.
+
+        The powers gamma**i, i <= N, give the seeds gamma**a[k] and the step gamma**N.
+        """
+        heads = self._powers(np.ones(1, dtype=np.int64), self.gamma, N + 1).reshape(-1)
+        return self._powers(heads[a], int(heads[N]), (self.q - 1) // N)
 
     def dlog(self, x: int) -> int:
         if not 1 <= operator.index(x) < self.q:
@@ -396,14 +437,4 @@ def build_field(p: int, f: int, modulus: tuple[int, ...] | None = None) -> Field
         if not _is_irreducible(modulus[:f], p):
             raise ValueError("modulus is reducible")
     mod_low = modulus[:f]
-    gamma = _find_generator(p, f, q, mod_low)
-    antilog = _antilog_table(p, f, q, mod_low, gamma)
-    log = np.full(q, -1, dtype=np.int64)
-    log[antilog] = np.arange(q - 1, dtype=np.int64)
-    trace = _trace_table(p, mod_low)
-    # construction sanity: powers of gamma enumerate the q-1 nonzero elements.
-    # No entry is zero or negative (a negative one wraps in the scatter), and
-    # every nonzero element has a log, so the q-1 entries hold no repeat.
-    if antilog.min() < 1 or log[1:].min() < 0:
-        raise AssertionError("antilog table is not a bijection onto F_q*")
-    return FieldTable(p, f, modulus, antilog, log, trace)
+    return FieldTable(p, f, modulus, _find_generator(p, f, q, mod_low), _trace_table(p, mod_low))

@@ -2,11 +2,13 @@
 
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclosrg import cyclotomy
 from cyclosrg.cyclotomy import ClassMap, CyclotomicInteger, classify
 from cyclosrg.finite_field import build_field
 from cyclosrg.ntheory import divisors, is_prime
@@ -238,7 +240,8 @@ def test_class_of_membership():
 def test_class_layout_matches_log_mod_n():
     # every field with q <= 2^12 and every N | q-1: the class elements and the
     # tally read off the columns of the antilog table equal the ones built
-    # from the class index i mod N of gamma^i.  The tally is compared where
+    # from the class index i mod N of gamma^i, and the negation shift, read
+    # off q alone, is the log of -1.  The tally is compared where
     # it has at most 2^20 cells: the 1293 larger (prime field) cases hold
     # 86% of all cells and would take most of the test's time.
     for p in filter(is_prime, range(2, 1 << 12)):
@@ -256,6 +259,7 @@ def test_class_layout_matches_log_mod_n():
                 d = list(range(0, N, 2)) + [N - 1]
                 expected = fld.antilog[np.isin(cls, d)]
                 assert np.array_equal(cm.connection_set_elements(d), expected), (p, f, N)
+                assert cm.negation_shift == fld.dlog(p - 1) % N, (p, f, N)
             f += 1
 
 
@@ -366,3 +370,80 @@ def test_inexact_inputs_are_refused(bad):
     for call in calls:
         with pytest.raises(TypeError, match="integer"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# tallies by Frobenius orbits: x -> x^p maps C_a onto C_{pa mod N} and keeps
+# the trace, so a tally is fixed by its rows on one class per p-orbit
+
+
+def _fields_upto(bound):
+    for p in filter(is_prime, range(2, bound + 1)):
+        f = 1
+        while p**f <= bound:
+            yield p, f
+            f += 1
+
+
+_SMALL_FIELDS = [pf for pf in _fields_upto(1 << 10) if pf[0] ** pf[1] > 3]
+# the orbit columns never win at f = 1, where every class is its own orbit
+_EXTENSION_FIELDS = [pf for pf in _fields_upto(1 << 12) if pf[1] > 1]
+
+
+@st.composite
+def _field_and_n(draw, fields=_SMALL_FIELDS):
+    p, f = draw(st.sampled_from(fields))
+    return p, f, draw(st.sampled_from(divisors(p**f - 1)[1:]))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_field_and_n(), st.data())
+def test_class_columns_are_columns_of_the_antilog_table(pfn, data):
+    p, f, N = pfn
+    fld = get_field(p, f)
+    reps = np.array(sorted(data.draw(st.sets(st.integers(0, N - 1), min_size=1))), dtype=np.int64)
+    got = build_field(p, f).class_columns(N, reps)
+    assert got.shape == ((fld.q - 1) // N, len(reps))
+    assert np.array_equal(got, fld.antilog.reshape(-1, N)[:, reps]), (p, f, N, reps)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_field_and_n())
+def test_layout_tally_is_constant_on_p_orbits(pfn):
+    p, f, N = pfn
+    fld = get_field(p, f)
+    fld.antilog  # built tables send the tally down the class layout
+    tally = classify(fld, N).tally
+    assert np.array_equal(tally, tally[np.arange(N) * p % N]), (p, f, N)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_field_and_n(_EXTENSION_FIELDS))
+def test_orbit_route_matches_layout_route(pfn):
+    # with no step cost the orbit columns win wherever they touch fewer
+    # elements than the antilog table, which small fields then exercise
+    p, f, N = pfn
+    with mock.patch.object(cyclotomy, "_STEP_COST", 0):
+        fld = build_field(p, f)
+        cm = classify(fld, N)
+        orbits = cm._orbits()
+        tally = cm.tally
+        assert fld.tables_built == (orbits is None)
+    expected = classify(get_field(p, f), N).tally
+    assert np.array_equal(tally, expected), (p, f, N, orbits)
+    if orbits is not None:
+        reps, orbit_of = orbits
+        assert np.array_equal(reps[orbit_of], [min(a * p**i % N for i in range(f)) for a in range(N)])
+
+
+@pytest.mark.parametrize("p, f, N", [(2, 20, 75), (2, 21, 49), (3, 12, 35)])
+def test_named_fields_take_the_orbit_route(p, f, N):
+    fld = build_field(p, f)
+    cm = classify(fld, N)
+    reps, _ = cm._orbits()
+    tally = cm.tally
+    assert len(reps) <= 8 and not fld.tables_built
+    fld.antilog
+    layout = classify(fld, N)  # a field with built tables tallies on the class layout
+    assert layout._orbits() is None
+    assert np.array_equal(tally, layout.tally)

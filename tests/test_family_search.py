@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclosrg import family_search
 from cyclosrg.cyclotomy import classify
 from cyclosrg.finite_field import build_field
 from cyclosrg.family_search import (
@@ -212,6 +213,20 @@ def test_oracle_agrees_on_every_named_example(name):
     oracle = difference_count_oracle(cm, ex.classes)
     assert cert is not None and oracle is not None
     assert certificates_agree(cert, oracle)
+
+
+def test_named_example_leaves_the_tables_unbuilt(monkeypatch):
+    # the tally takes one orbit column per Frobenius orbit, so 2^21 needs no antilog or log table
+    built = []
+
+    def spy(p, f):
+        built.append(build_field(p, f))
+        return built[-1]
+
+    monkeypatch.setattr(family_search, "build_field", spy)
+    assert verify_named_example("ikuta49").ok
+    assert [fld.q for fld in built] == [1 << 21]
+    assert built[0]._antilog is None and built[0]._log is None
 
 
 def test_verify_unknown_name():

@@ -335,10 +335,14 @@ def test_tables_are_read_only():
 
 @pytest.mark.parametrize("bad", [[1, 2, 4, 2], [1, 2, 0, 3], [1, 2, -1, 3]], ids=["repeat", "zero", "negative"])
 def test_bijection_check_raises(monkeypatch, bad):
-    # F_5 has antilog [1, 2, 4, 3]; a table that misses an element must be refused
-    monkeypatch.setattr(finite_field, "_antilog_table", lambda *args: np.array(bad, dtype=np.int64))
-    with pytest.raises(AssertionError, match="bijection"):
-        build_field(5, 1)
+    # F_5 has antilog [1, 2, 4, 3]; a table that misses an element must be
+    # refused.  The tables are built on first read, so each read raises
+    monkeypatch.setattr(finite_field, "_power_table", lambda *args: np.array(bad, dtype=np.int64)[:, None])
+    fld = build_field(5, 1)
+    for name in ("antilog", "log"):
+        with pytest.raises(AssertionError, match="bijection"):
+            getattr(fld, name)
+        assert not fld.tables_built
 
 
 def _small_fields():
@@ -387,7 +391,7 @@ def test_matrix_power_search_matches_scalar_reference():
             assert found == _slow_search(p, f), (p, f)
             f += 1
     # prime fields: the smallest primitive root, found by scalar pow
-    for p in [*filter(is_prime, range(2, 1 << 12)), 4194301]:
+    for p in [*filter(is_prime, range(2, 1 << 16)), 4194301]:
         exponents = [(p - 1) // ell for ell in prime_factors(p - 1)]
         root = next(e for e in range(1, p) if all(pow(e, t, p) != 1 for t in exponents))
         assert _find_generator(p, 1, p, (0,)) == root, p

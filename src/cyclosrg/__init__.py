@@ -10,10 +10,13 @@ from .cyclotomy import ClassMap, CyclotomicInteger, classify
 from .family_search import (
     NAMED_EXAMPLES,
     ExampleReport,
+    FamilyCheck,
     NamedExample,
     SearchReport,
+    pair_family_check,
     scan_pairs,
     scan_triples,
+    triple_family_check,
     verify_named_example,
 )
 from .finite_field import SIZE_CAP, FieldTable, build_field
@@ -34,15 +37,12 @@ from .gauss_theory import (
 from .ntheory import euler_phi, factorize, is_prime
 from .srg_engine import (
     PAIR_BUDGET,
-    FamilyCheck,
     PredictedSpectrum,
     SrgCertificate,
     difference_count_oracle,
-    pair_family_check,
     predicted_spectrum_prime_power,
     predicted_spectrum_two_primes,
     srg_from_spectrum,
-    triple_family_check,
 )
 
 __version__ = "0.1.0"

@@ -34,6 +34,7 @@ without the constructor's per-coefficient type check.
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
@@ -128,7 +129,8 @@ class CyclotomicInteger:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        # a rational value equals its int, so it hashes like it
+        return hash(self.coeffs[0]) if self.is_rational_integer else hash((self.p, self.coeffs))
 
     def __repr__(self):
         if self.is_rational_integer:
@@ -139,7 +141,7 @@ class CyclotomicInteger:
 
     @property
     def is_rational_integer(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(itertools.islice(self.coeffs, 1, None))
 
     def to_int(self) -> int:
         if not self.is_rational_integer:

@@ -1,29 +1,30 @@
-"""Bounded searches for the prime pair and triple criteria, and named runs.
+"""The prime pair and triple family criteria, bounded scans, and named runs.
 
 A pair (p, p1) or triple (p, p1, p2) passing the family criterion gives a
 strongly regular Cayley graph over F_{p^f} for every exponent m >= 1 of p1
-in the class count N.  The scans test every candidate inside a bound box
-and report hits with full witnesses and misses with reason codes, so an
-empty region is as auditable as a hit.  The named examples pin the handful
-of instances small enough to verify end to end on a desk machine.
+in the class count N.  pair_family_check and triple_family_check test one
+candidate; the scans test every candidate inside a bound box through the
+same reasons functions and report hits with full witnesses and misses with
+reason codes, so an empty region is as auditable as a hit.  The named
+examples pin the handful of instances small enough to verify end to end on
+a desk machine.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cyclotomy import classify
 from .finite_field import build_field
-from .ntheory import euler_phi
+from .gauss_theory import _reduce_order, class_number, reduced_form_counts
+from .ntheory import euler_phi, factorize, is_prime, smallest_prime_factors
 from .srg_engine import (
-    FamilyCheck,
     PredictedSpectrum,
-    ScanTables,
     SrgCertificate,
-    _pair_hit,
-    _pair_reasons,
-    _triple_hit,
-    _triple_reasons,
     certificates_agree,
     predicted_spectrum_prime_power,
     predicted_spectrum_two_primes,
@@ -38,6 +39,223 @@ SCAN_BOX_CAP = 10**6
 
 # the difference-count oracle is only run for fields up to this order
 _ORACLE_Q_CAP = 4096
+
+# reason codes for family criterion rejections
+REASON_NOT_PRIME = "NOT_PRIME"
+REASON_NOT_COPRIME = "NOT_COPRIME"
+REASON_P1_TOO_SMALL = "P1_TOO_SMALL"
+REASON_MOD4_PATTERN = "MOD4_PATTERN"
+REASON_NOT_INDEX2 = "NOT_INDEX2"
+REASON_DIOPHANTINE_FAIL = "DIOPHANTINE_FAIL"
+
+
+# ---------------------------------------------------------------------------
+# family criteria
+
+
+class ScanTables:
+    """is_prime, factorize, class_number(d) and order(p, ell) by lookup for n, d, ell <= bound.
+
+    A scan builds one per call and passes it to the reasons functions: a
+    smallest-prime-factor sieve to bound, and the class numbers of the
+    squarefree d <= bound read off the reduced-form counts to 4 bound, with
+    0 marking every other d.  Outside 1 <= n <= bound, for d not squarefree,
+    and in ScanTables(), the module functions answer or refuse.  The orders
+    ord_ell(p) are kept per (p, ell) as they are asked for, with the prime
+    divisors of each ell - 1 found once.
+    """
+
+    def __init__(self, bound: int = 0):
+        self.bound = bound
+        self._orders: dict[tuple[int, int], int] = {}
+        self._order_primes: dict[int, list[int]] = {}
+        if bound:
+            self.spf = smallest_prime_factors(bound).tolist()
+            d = np.arange(bound + 1)
+            h = reduced_form_counts(4 * bound)[np.where(d % 4 == 3, d, 4 * d)]
+            for i in range(2, math.isqrt(bound) + 1):
+                h[i * i :: i * i] = 0
+            self.class_numbers = h.tolist()
+
+    def is_prime(self, n: int) -> bool:
+        return n >= 2 and self.spf[n] == n if n <= self.bound else is_prime(n)
+
+    def factorize(self, n: int) -> dict[int, int]:
+        if not 1 <= n <= self.bound:
+            return factorize(n)
+        out: dict[int, int] = {}
+        while n > 1:
+            out[self.spf[n]] = out.get(self.spf[n], 0) + 1
+            n //= self.spf[n]
+        return out
+
+    def class_number(self, d: int) -> int:
+        return (self.class_numbers[d] if 1 <= d <= self.bound else 0) or class_number(d)
+
+    def order(self, p: int, ell: int) -> int:
+        """The multiplicative order of p modulo the prime ell, which must not divide p."""
+        order = self._orders.get((p, ell))
+        if order is None:
+            primes = self._order_primes.get(ell)
+            if primes is None:
+                primes = self._order_primes[ell] = list(self.factorize(ell - 1))
+            order = self._orders[p, ell] = _reduce_order(p, ell, ell - 1, primes)
+        return order
+
+
+@dataclass(frozen=True)
+class FamilyCheck:
+    """Outcome of the pair/triple family criterion with a full witness.
+
+    reasons lists every failing check; ok means there is none.  For passing
+    candidates the witness carries the class number h, the pinned sign b,
+    and the predicted integer eigenvalues at m = 1 and m = 2; m > 2 members
+    are certified by order lifting (full order modulo p1^2 lifts to p1^m).
+    """
+
+    p: int
+    p1: int
+    p2: int | None
+    reasons: tuple[str, ...]
+    h: int | None = None
+    b: int | None = None
+    f1: int | None = None
+    r1: int | None = None
+    s1: int | None = None
+    r2: int | None = None
+    s2: int | None = None
+    r_formula: str | None = None
+    s_formula: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return not self.reasons
+
+    def to_json_dict(self) -> dict:
+        out = {
+            "p": self.p,
+            "p1": self.p1,
+            "ok": self.ok,
+            "reasons": list(self.reasons),
+            "h": self.h,
+            "b": self.b,
+            "f_m1": self.f1,
+            "r_m1": self.r1,
+            "s_m1": self.s1,
+            "r_m2": self.r2,
+            "s_m2": self.s2,
+            "r_formula": self.r_formula,
+            "s_formula": self.s_formula,
+        }
+        if self.p2 is not None:
+            out["p2"] = self.p2
+        return out
+
+
+def _predicted(p: int, p1: int, p2: int | None, m: int) -> PredictedSpectrum:
+    """The closed-form spectrum of the family's union at exponent m: N = p1^m, or p1^m p2."""
+    if p2 is None:
+        return predicted_spectrum_prime_power(p, p1, m)
+    return predicted_spectrum_two_primes(p, p1, p2, m)
+
+
+def _family_hit(p: int, p1: int, p2: int | None, h: int, b: int, a_r: int, a_s: int) -> FamilyCheck:
+    """The witness of a family hit: eigenvalues at m = 1 and 2 and the formulas in p^h0.
+
+    Both index-2 Gauss sums must pin the family's sign b.
+    """
+    sp1, sp2 = _predicted(p, p1, p2, 1), _predicted(p, p1, p2, 2)
+    if sp1.gauss.b != b or sp2.gauss.b != b:
+        raise AssertionError(f"family sign b = {b} disagrees with the index-2 Gauss sum")
+    r1, s1 = max(sp1.integer_values()), min(sp1.integer_values())
+    r2, s2 = max(sp2.integer_values()), min(sp2.integer_values())
+    return FamilyCheck(
+        p, p1, p2, (), h=h, b=b, f1=sp1.gauss.f, r1=r1, s1=s1, r2=r2, s2=s2,
+        r_formula=f"({a_r}*{p}^h0-1)/{sp1.N}", s_formula=f"({a_s}*{p}^h0-1)/{sp1.N}",
+    )
+
+
+def _pair_reasons(p: int, p1: int, nt: ScanTables) -> tuple[tuple[str, ...], int | None]:
+    """The failing checks of the pair criterion, in order, and h(Q(sqrt(-p1))) once it is read."""
+    if not (nt.is_prime(p) and nt.is_prime(p1)):
+        return (REASON_NOT_PRIME,), None
+    if p == p1:
+        return (REASON_NOT_COPRIME,), None
+    h = nt.class_number(p1)  # refuses p1 beyond CLASS_NUMBER_CAP before any order is found
+    reasons: list[str] = []
+    if p1 <= 3:
+        reasons.append(REASON_P1_TOO_SMALL)
+    if p1 % 4 != 3:
+        reasons.append(REASON_MOD4_PATTERN)
+    # the order modulo p1^2 is the order o modulo p1, or p1 o
+    order = nt.order(p, p1)
+    if order != (p1 - 1) // 2 or pow(p, order, p1 * p1) == 1:
+        reasons.append(REASON_NOT_INDEX2)
+    if 1 + p1 != 4 * p**h:
+        reasons.append(REASON_DIOPHANTINE_FAIL)
+    return tuple(reasons), h
+
+
+def _pair_hit(p: int, p1: int, h: int) -> FamilyCheck:
+    b = 1 if p1 % 8 == 3 else -1
+    a_r = (p1 - 1) // 2 if b == 1 else (p1 + 1) // 2
+    a_s = -((p1 + 1) // 2) if b == 1 else -((p1 - 1) // 2)
+    return _family_hit(p, p1, None, h, b, a_r, a_s)
+
+
+def pair_family_check(p: int, p1: int) -> FamilyCheck:
+    """Does (p, p1) generate the prime-power SRG family for every m >= 1?
+
+    True iff p, p1 prime, p1 = 3 mod 4, p1 > 3, p has half order modulo p1
+    and modulo p1^2 (so modulo every p1^m), and 1 + p1 = 4 p^h with
+    h = h(Q(sqrt(-p1))).  Then b, c = +-1 and the spectrum is two-valued
+    for every m.
+    """
+    p, p1 = operator.index(p), operator.index(p1)
+    reasons, h = _pair_reasons(p, p1, ScanTables())
+    return FamilyCheck(p, p1, None, reasons, h=h) if reasons else _pair_hit(p, p1, h)
+
+
+def _triple_reasons(p: int, p1: int, p2: int, nt: ScanTables) -> tuple[tuple[str, ...], int | None]:
+    """The failing checks of the triple criterion, in order, and h(Q(sqrt(-p1 p2))) once it is read."""
+    if not (nt.is_prime(p) and nt.is_prime(p1) and nt.is_prime(p2)):
+        return (REASON_NOT_PRIME,), None
+    if p in (p1, p2) or p1 == p2:
+        return (REASON_NOT_COPRIME,), None
+    h = nt.class_number(p1 * p2)  # refuses p1 p2 beyond CLASS_NUMBER_CAP before any order is found
+    if h % 2:
+        raise AssertionError(f"h(Q(sqrt(-{p1 * p2}))) = {h} is odd, against genus theory")
+    reasons: list[str] = []
+    if {p1 % 4, p2 % 4} != {1, 3}:
+        reasons.append(REASON_MOD4_PATTERN)
+    # orders modulo p1^2 and p1 p2 follow from o1 = ord mod p1 and o2 = ord mod p2
+    o1, o2 = nt.order(p, p1), nt.order(p, p2)
+    full_orders = o1 == p1 - 1 and pow(p, o1, p1 * p1) != 1 and o2 == p2 - 1
+    index2_overall = 2 * math.lcm(o1, o2) == (p1 - 1) * (p2 - 1)
+    if not (full_orders and index2_overall):
+        reasons.append(REASON_NOT_INDEX2)
+    if 1 + p1 * p2 != 4 * p**h:
+        reasons.append(REASON_DIOPHANTINE_FAIL)
+    return tuple(reasons), h
+
+
+def _triple_hit(p: int, p1: int, p2: int, h: int) -> FamilyCheck:
+    b = (-1 if p1 % 4 == 3 else 1) * (p1 - 2 * p ** (h // 2))
+    return _family_hit(p, p1, p2, h, b, (b + p1 * p2) // 2, (b - p1 * p2) // 2)
+
+
+def triple_family_check(p: int, p1: int, p2: int) -> FamilyCheck:
+    """Does (p, p1, p2) generate the two-prime SRG family for every m >= 1?
+
+    True iff all prime, {p1, p2} = {1, 3} mod 4, p has full order modulo
+    p1, p1^2 and p2 with overall index 2 modulo p1 p2, and 1 + p1 p2 = 4 p^h
+    with h = h(Q(sqrt(-p1 p2))), which genus theory makes even.  Then
+    p1 p2 = (R - 1)(R + 1) with R = 2 p^{h/2} >= 4 forces {p1, p2} = {R - 1, R + 1},
+    so b = e (p1 - R) = +-1 with e = (-1)^{(p1-1)/2}.
+    """
+    p, p1, p2 = operator.index(p), operator.index(p1), operator.index(p2)
+    reasons, h = _triple_reasons(p, p1, p2, ScanTables())
+    return FamilyCheck(p, p1, p2, reasons, h=h) if reasons else _triple_hit(p, p1, p2, h)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +379,7 @@ class NamedExample:
         return len(self.classes) * (self.q - 1) // self.n
 
     def predicted(self) -> PredictedSpectrum:
-        if self.p2 is None:
-            return predicted_spectrum_prime_power(self.p, self.p1, self.m)
-        return predicted_spectrum_two_primes(self.p, self.p1, self.p2, self.m)
+        return _predicted(self.p, self.p1, self.p2, self.m)
 
 
 def _example(name: str, p: int, p1: int, p2: int | None, m: int) -> NamedExample:

@@ -18,8 +18,8 @@ that chunk, and the chunk images are XORed (p = 2) or added and reduced slot
 by slot (odd p).  The trace is F_p-linear too: an XOR doubling at p = 2 and
 an outer sum over the digits at odd p.  build_field finds the modulus, gamma
 and the trace table; antilog and log are built the first time either is
-read, and class_columns gives columns of antilog without it.  All arithmetic
-is table driven, and -1 is the encoding p - 1:
+read, and class_columns gives columns of antilog without it.  Products and
+logs read the tables, sums go digit by digit, and -1 is the encoding p - 1:
 
     antilog[i] = encoding of gamma**i          (length q-1)
     log[x]     = i with antilog[i] == x        (length q, log[0] == -1)
@@ -367,13 +367,13 @@ class FieldTable:
         return self.pow_element(x, -1)
 
     def neg(self, x: int) -> int:
-        return self.mul(x, self.p - 1)
+        return self.sub(0, x)
 
     def add(self, x: int, y: int) -> int:
         return int(self.add_vec(np.int64(self._element(x)), np.int64(self._element(y))))
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return int(self.sub_vec(np.int64(self._element(x)), np.int64(self._element(y))))
 
     # vectorized arithmetic on encoded arrays (broadcasting allowed)
 
@@ -388,8 +388,6 @@ class FieldTable:
         if self.p == 2:
             return a ^ b
         op = np.add if sign > 0 else np.subtract
-        if self.f == 1:
-            return op(a, b) % self.p
         res = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         pw = 1
         for _ in range(self.f):

@@ -26,6 +26,9 @@ A conference-graph spectrum (two conjugate irrational eigenvalues) is
 accepted when r+s and r*s are rational integers, which srg_from_spectrum
 decides in the quadratic subfield of Q(xi_p); r and s stay None, both
 multiplicities are (v-1)/2, and the irrational flag is set.
+
+The integer family criteria that the predictions feed live in
+family_search, beside the scans that test them.
 """
 
 from __future__ import annotations
@@ -39,29 +42,13 @@ import numpy as np
 
 from .cyclotomy import ClassMap, CyclotomicInteger
 from .finite_field import FieldTable
-from .gauss_theory import (
-    QuadraticGaussValue,
-    _reduce_order,
-    class_number,
-    index2_gauss_prime_power,
-    index2_gauss_two_primes,
-    reduced_form_counts,
-)
-from .ntheory import factorize, is_prime, smallest_prime_factors
+from .gauss_theory import QuadraticGaussValue, index2_gauss_prime_power, index2_gauss_two_primes
 
 PAIR_BUDGET = 1 << 26
 # closed-form predictions form p^f in full: capped at 2^20 bits, counted as f
 # times the bit length of p; the largest family hit inside the scan caps,
 # (5, 499) at m = 2, needs 372753 bits
 PREDICTION_BITS_CAP = 1 << 20
-
-# reason codes for family criterion rejections
-REASON_NOT_PRIME = "NOT_PRIME"
-REASON_NOT_COPRIME = "NOT_COPRIME"
-REASON_P1_TOO_SMALL = "P1_TOO_SMALL"
-REASON_MOD4_PATTERN = "MOD4_PATTERN"
-REASON_NOT_INDEX2 = "NOT_INDEX2"
-REASON_DIOPHANTINE_FAIL = "DIOPHANTINE_FAIL"
 
 
 @dataclass(frozen=True)
@@ -209,10 +196,10 @@ def _certificate(v: int, k: int, e1: int, e2: int, source: str) -> SrgCertificat
 def srg_from_spectrum(v: int, k: int, values, source: str = "SPECTRUM") -> SrgCertificate | None:
     """Certificate from the exact multiset of restricted eigenvalues.
 
-    values: the distinct connection sums (CyclotomicInteger or int).  Returns
-    None unless there are exactly two distinct values whose sum and product
-    are rational integers and every integrality and feasibility identity
-    holds.
+    values: the connection sums (CyclotomicInteger or int); repeats are
+    ignored.  Returns None unless there are exactly two distinct values
+    whose sum and product are rational integers and every integrality and
+    feasibility identity holds.
 
     Two irrational values x, y with x + y and x y rational are roots of one
     rational quadratic, so both lie in the one quadratic subfield
@@ -422,214 +409,3 @@ def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> Predicted
     v = p**f
     k = (v - 1) // (p1 * p2)
     return PredictedSpectrum(p, p1, m, p2, N, v, k, gauss, values)
-
-
-# ---------------------------------------------------------------------------
-# family criteria
-
-
-class ScanTables:
-    """is_prime, factorize, class_number(d) and order(p, ell) by lookup for n, d, ell <= bound.
-
-    A scan builds one per call and passes it to the family checks: a
-    smallest-prime-factor sieve to bound, and the class numbers of the
-    squarefree d <= bound read off the reduced-form counts to 4 bound, with
-    0 marking every other d.  Outside 1 <= n <= bound, for d not squarefree,
-    and in ScanTables(), the module functions answer or refuse.  The orders
-    ord_ell(p) are kept per (p, ell) as they are asked for, with the prime
-    divisors of each ell - 1 found once.
-    """
-
-    def __init__(self, bound: int = 0):
-        self.bound = bound
-        self._orders: dict[tuple[int, int], int] = {}
-        self._order_primes: dict[int, list[int]] = {}
-        if bound:
-            self.spf = smallest_prime_factors(bound).tolist()
-            d = np.arange(bound + 1)
-            h = reduced_form_counts(4 * bound)[np.where(d % 4 == 3, d, 4 * d)]
-            for i in range(2, math.isqrt(bound) + 1):
-                h[i * i :: i * i] = 0
-            self.class_numbers = h.tolist()
-
-    def is_prime(self, n: int) -> bool:
-        return n >= 2 and self.spf[n] == n if n <= self.bound else is_prime(n)
-
-    def factorize(self, n: int) -> dict[int, int]:
-        if not 1 <= n <= self.bound:
-            return factorize(n)
-        out: dict[int, int] = {}
-        while n > 1:
-            out[self.spf[n]] = out.get(self.spf[n], 0) + 1
-            n //= self.spf[n]
-        return out
-
-    def class_number(self, d: int) -> int:
-        return (self.class_numbers[d] if 1 <= d <= self.bound else 0) or class_number(d)
-
-    def order(self, p: int, ell: int) -> int:
-        """The multiplicative order of p modulo the prime ell, which must not divide p."""
-        order = self._orders.get((p, ell))
-        if order is None:
-            primes = self._order_primes.get(ell)
-            if primes is None:
-                primes = self._order_primes[ell] = list(self.factorize(ell - 1))
-            order = self._orders[p, ell] = _reduce_order(p, ell, ell - 1, primes)
-        return order
-
-
-@dataclass(frozen=True)
-class FamilyCheck:
-    """Outcome of the pair/triple family criterion with a full witness.
-
-    reasons lists every failing check; ok means there is none.  For passing
-    candidates the witness carries the class number h, the pinned sign b,
-    and the predicted integer eigenvalues at m = 1 and m = 2; m > 2 members
-    are certified by order lifting (full order modulo p1^2 lifts to p1^m).
-    """
-
-    p: int
-    p1: int
-    p2: int | None
-    reasons: tuple[str, ...]
-    h: int | None = None
-    b: int | None = None
-    f1: int | None = None
-    r1: int | None = None
-    s1: int | None = None
-    r2: int | None = None
-    s2: int | None = None
-    r_formula: str | None = None
-    s_formula: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.reasons
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "p": self.p,
-            "p1": self.p1,
-            "ok": self.ok,
-            "reasons": list(self.reasons),
-            "h": self.h,
-            "b": self.b,
-            "f_m1": self.f1,
-            "r_m1": self.r1,
-            "s_m1": self.s1,
-            "r_m2": self.r2,
-            "s_m2": self.s2,
-            "r_formula": self.r_formula,
-            "s_formula": self.s_formula,
-        }
-        if self.p2 is not None:
-            out["p2"] = self.p2
-        return out
-
-
-def _family_hit(
-    p: int, p1: int, p2: int | None, h: int, b: int, f1: int, a_r: int, a_s: int, predict
-) -> FamilyCheck:
-    """The witness of a family hit: eigenvalues at m = 1 and 2 and the formulas in p^h0.
-
-    predict(m) gives the closed-form spectrum at exponent m; both index-2
-    Gauss sums must pin the family's sign b.
-    """
-    sp1, sp2 = predict(1), predict(2)
-    if sp1.gauss.b != b or sp2.gauss.b != b:
-        raise AssertionError(f"family sign b = {b} disagrees with the index-2 Gauss sum")
-    r1, s1 = max(sp1.integer_values()), min(sp1.integer_values())
-    r2, s2 = max(sp2.integer_values()), min(sp2.integer_values())
-    n = p1 * (p2 or 1)
-    return FamilyCheck(
-        p, p1, p2, (), h=h, b=b, f1=f1, r1=r1, s1=s1, r2=r2, s2=s2,
-        r_formula=f"({a_r}*{p}^h0-1)/{n}", s_formula=f"({a_s}*{p}^h0-1)/{n}",
-    )
-
-
-def _pair_reasons(p: int, p1: int, nt: ScanTables) -> tuple[tuple[str, ...], int | None]:
-    """The failing checks of the pair criterion, in order, and h(Q(sqrt(-p1))) once it is read."""
-    if not (nt.is_prime(p) and nt.is_prime(p1)):
-        return (REASON_NOT_PRIME,), None
-    if p == p1:
-        return (REASON_NOT_COPRIME,), None
-    h = nt.class_number(p1)  # refuses p1 beyond CLASS_NUMBER_CAP before any order is found
-    reasons: list[str] = []
-    if p1 <= 3:
-        reasons.append(REASON_P1_TOO_SMALL)
-    if p1 % 4 != 3:
-        reasons.append(REASON_MOD4_PATTERN)
-    # the order modulo p1^2 is the order o modulo p1, or p1 o
-    order = nt.order(p, p1)
-    if order != (p1 - 1) // 2 or pow(p, order, p1 * p1) == 1:
-        reasons.append(REASON_NOT_INDEX2)
-    if 1 + p1 != 4 * p**h:
-        reasons.append(REASON_DIOPHANTINE_FAIL)
-    return tuple(reasons), h
-
-
-def _pair_hit(p: int, p1: int, h: int) -> FamilyCheck:
-    b = 1 if p1 % 8 == 3 else -1
-    a_r = (p1 - 1) // 2 if b == 1 else (p1 + 1) // 2
-    a_s = -((p1 + 1) // 2) if b == 1 else -((p1 - 1) // 2)
-    return _family_hit(
-        p, p1, None, h, b, (p1 - 1) // 2, a_r, a_s, lambda m: predicted_spectrum_prime_power(p, p1, m)
-    )
-
-
-def pair_family_check(p: int, p1: int, *, tables: ScanTables | None = None) -> FamilyCheck:
-    """Does (p, p1) generate the prime-power SRG family for every m >= 1?
-
-    True iff p, p1 prime, p1 = 3 mod 4, p1 > 3, p has half order modulo p1
-    and modulo p1^2 (so modulo every p1^m), and 1 + p1 = 4 p^h with
-    h = h(Q(sqrt(-p1))).  Then b, c = +-1 and the spectrum is two-valued
-    for every m.
-    """
-    p, p1 = operator.index(p), operator.index(p1)
-    reasons, h = _pair_reasons(p, p1, tables or ScanTables())
-    return FamilyCheck(p, p1, None, reasons, h=h) if reasons else _pair_hit(p, p1, h)
-
-
-def _triple_reasons(p: int, p1: int, p2: int, nt: ScanTables) -> tuple[tuple[str, ...], int | None]:
-    """The failing checks of the triple criterion, in order, and h(Q(sqrt(-p1 p2))) once it is read."""
-    if not (nt.is_prime(p) and nt.is_prime(p1) and nt.is_prime(p2)):
-        return (REASON_NOT_PRIME,), None
-    if p in (p1, p2) or p1 == p2:
-        return (REASON_NOT_COPRIME,), None
-    h = nt.class_number(p1 * p2)  # refuses p1 p2 beyond CLASS_NUMBER_CAP before any order is found
-    if h % 2:
-        raise AssertionError(f"h(Q(sqrt(-{p1 * p2}))) = {h} is odd, against genus theory")
-    reasons: list[str] = []
-    if {p1 % 4, p2 % 4} != {1, 3}:
-        reasons.append(REASON_MOD4_PATTERN)
-    # orders modulo p1^2 and p1 p2 follow from o1 = ord mod p1 and o2 = ord mod p2
-    o1, o2 = nt.order(p, p1), nt.order(p, p2)
-    full_orders = o1 == p1 - 1 and pow(p, o1, p1 * p1) != 1 and o2 == p2 - 1
-    index2_overall = 2 * math.lcm(o1, o2) == (p1 - 1) * (p2 - 1)
-    if not (full_orders and index2_overall):
-        reasons.append(REASON_NOT_INDEX2)
-    if 1 + p1 * p2 != 4 * p**h:
-        reasons.append(REASON_DIOPHANTINE_FAIL)
-    return tuple(reasons), h
-
-
-def _triple_hit(p: int, p1: int, p2: int, h: int) -> FamilyCheck:
-    b = (-1 if p1 % 4 == 3 else 1) * (p1 - 2 * p ** (h // 2))
-    return _family_hit(
-        p, p1, p2, h, b, (p1 - 1) * (p2 - 1) // 2, (b + p1 * p2) // 2, (b - p1 * p2) // 2,
-        lambda m: predicted_spectrum_two_primes(p, p1, p2, m),
-    )
-
-
-def triple_family_check(p: int, p1: int, p2: int, *, tables: ScanTables | None = None) -> FamilyCheck:
-    """Does (p, p1, p2) generate the two-prime SRG family for every m >= 1?
-
-    True iff all prime, {p1, p2} = {1, 3} mod 4, p has full order modulo
-    p1, p1^2 and p2 with overall index 2 modulo p1 p2, and 1 + p1 p2 = 4 p^h
-    with h = h(Q(sqrt(-p1 p2))), which genus theory makes even.  Then
-    p1 p2 = (R - 1)(R + 1) with R = 2 p^{h/2} >= 4 forces {p1, p2} = {R - 1, R + 1},
-    so b = e (p1 - R) = +-1 with e = (-1)^{(p1-1)/2}.
-    """
-    p, p1, p2 = operator.index(p), operator.index(p1), operator.index(p2)
-    reasons, h = _triple_reasons(p, p1, p2, tables or ScanTables())
-    return FamilyCheck(p, p1, p2, reasons, h=h) if reasons else _triple_hit(p, p1, p2, h)

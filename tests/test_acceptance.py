@@ -16,7 +16,13 @@ import numpy as np
 
 from conftest import get_field
 from cyclosrg.cyclotomy import CyclotomicInteger, classify
-from cyclosrg.family_search import scan_pairs, scan_triples, verify_named_example
+from cyclosrg.family_search import (
+    pair_family_check,
+    scan_pairs,
+    scan_triples,
+    triple_family_check,
+    verify_named_example,
+)
 from cyclosrg.gauss_theory import (
     class_number,
     gauss_sum_numeric,
@@ -27,11 +33,9 @@ from cyclosrg.gauss_theory import (
 from cyclosrg.ntheory import divisors, primes_upto
 from cyclosrg.srg_engine import (
     difference_count_oracle,
-    pair_family_check,
     predicted_spectrum_prime_power,
     predicted_spectrum_two_primes,
     srg_from_spectrum,
-    triple_family_check,
 )
 
 PAIR_FAMILIES = ((2, 7), (3, 107), (5, 19), (5, 499), (17, 67), (41, 163))

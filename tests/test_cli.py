@@ -343,6 +343,7 @@ def test_help_stdout(capsys, monkeypatch, argv, digest):
 
 
 def test_internal_errors_exit_3(capsys, monkeypatch):
+    import cyclosrg.family_search
     import cyclosrg.gauss_theory
     import cyclosrg.srg_engine
 
@@ -356,13 +357,13 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "gauss-index2", "--p", "2", "--p1", "7", "--m", "1")
     assert code == 3 and out == "" and err.startswith("internal error: sign resolution")
     # a Gauss sum whose b disagrees with the pair family's sign trips the hit builder's cross-check
-    prime_power = cyclosrg.srg_engine.predicted_spectrum_prime_power
+    prime_power = cyclosrg.family_search.predicted_spectrum_prime_power
 
     def flipped_b(p, p1, m):
         sp = prime_power(p, p1, m)
         return dataclasses.replace(sp, gauss=dataclasses.replace(sp.gauss, b=-sp.gauss.b))
 
-    monkeypatch.setattr(cyclosrg.srg_engine, "predicted_spectrum_prime_power", flipped_b)
+    monkeypatch.setattr(cyclosrg.family_search, "predicted_spectrum_prime_power", flipped_b)
     code, out, err = run(capsys, "scan-pairs", "--p-max", "3", "--p1-max", "8")
     assert code == 3 and out == "" and err.startswith("internal error:") and err.count("\n") == 1
 

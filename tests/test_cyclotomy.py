@@ -176,6 +176,15 @@ def test_ring_constructor_normalizes_to_int():
     assert json.dumps(CyclotomicInteger(5, (False, np.int16(-3), 7, np.uint64(2))).coeffs) == "[0, -3, 7, 2]"
 
 
+def test_rational_values_hash_like_their_int():
+    # a value that equals an int must hash like it, or dicts and sets keep both
+    for p in (2, 3, 7):
+        z = CyclotomicInteger.from_int(p, 4)
+        assert z == 4 and hash(z) == hash(4)
+        assert {z: 1}.get(4) == 1 and len({z, 4}) == 1
+    assert len({CyclotomicInteger(3, (2, 1)), CyclotomicInteger(3, (2, 1)), 2}) == 2
+
+
 def test_count_matrix_rows_match_exponent_counts():
     # periods and connection sums are folded from their count matrices in numpy;
     # each row must be the element from_exponent_counts gives for it

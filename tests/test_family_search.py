@@ -10,24 +10,20 @@ from cyclosrg.cyclotomy import classify
 from cyclosrg.finite_field import build_field
 from cyclosrg.family_search import (
     NAMED_EXAMPLES,
-    SearchReport,
-    scan_pairs,
-    scan_triples,
-    verify_named_example,
-)
-from cyclosrg.ntheory import euler_phi, is_prime
-from cyclosrg.srg_engine import (
     REASON_DIOPHANTINE_FAIL,
     REASON_MOD4_PATTERN,
     REASON_NOT_COPRIME,
     REASON_NOT_INDEX2,
     REASON_P1_TOO_SMALL,
-    certificates_agree,
-    difference_count_oracle,
+    SearchReport,
     pair_family_check,
-    srg_from_spectrum,
+    scan_pairs,
+    scan_triples,
     triple_family_check,
+    verify_named_example,
 )
+from cyclosrg.ntheory import euler_phi, is_prime
+from cyclosrg.srg_engine import certificates_agree, difference_count_oracle, srg_from_spectrum
 PAIR_HITS = ((2, 7), (3, 107), (5, 19), (5, 499), (17, 67), (41, 163))
 TRIPLE_HITS = ((2, 3, 5), (2, 5, 3), (3, 5, 7), (3, 7, 5), (3, 17, 19), (3, 19, 17))
 

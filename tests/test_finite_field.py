@@ -209,6 +209,20 @@ def test_vector_arithmetic_matches_scalar():
             assert fld.add(x, int(neg[x])) == 0
 
 
+def test_neg_and_sub_are_digitwise_and_build_no_tables():
+    # neg and sub take no logarithm, so they agree with the product by p - 1
+    # and leave the q-length antilog and log tables unbuilt
+    for p, f in [(2, 4), (3, 3), (13, 1), (5, 2)]:
+        fld = build_field(p, f)
+        for x in range(fld.q):
+            assert fld.neg(x) == fld.mul(x, p - 1)
+            assert fld.sub(x, 7 % fld.q) == fld.add(x, fld.mul(7 % fld.q, p - 1))
+    for p, f, x, y, diff, neg in [(2, 20, 5, 3, 6, 5), (3, 12, 5, 3, 2, 7)]:
+        fld = build_field(p, f)
+        assert (fld.sub(x, y), fld.neg(x)) == (diff, neg)
+        assert not fld.tables_built
+
+
 def test_field_axioms_sampled():
     fld = get_field(3, 3)
     elems = list(range(fld.q))

@@ -25,7 +25,8 @@ from cyclosrg.gauss_theory import (
     semiprimitive_gauss,
 )
 from cyclosrg.ntheory import euler_phi, factorize, is_squarefree, primes_upto
-from cyclosrg.srg_engine import ScanTables, predicted_spectrum_prime_power, predicted_spectrum_two_primes
+from cyclosrg.family_search import ScanTables
+from cyclosrg.srg_engine import predicted_spectrum_prime_power, predicted_spectrum_two_primes
 
 from conftest import get_field
 

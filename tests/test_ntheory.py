@@ -15,7 +15,7 @@ from cyclosrg.ntheory import (
     primes_upto,
     smallest_prime_factors,
 )
-from cyclosrg.srg_engine import ScanTables, pair_family_check
+from cyclosrg.family_search import ScanTables, pair_family_check
 
 PSI_12 = 318665857834031151167461  # strong pseudoprime to the first 12 prime bases
 

@@ -14,24 +14,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclosrg import srg_engine
+from cyclosrg import family_search, srg_engine
 from cyclosrg.cyclotomy import CyclotomicInteger, classify
-from cyclosrg.gauss_theory import mult_order
-from cyclosrg.ntheory import divisors, factorize, is_prime
-from cyclosrg.srg_engine import (
+from cyclosrg.family_search import (
     REASON_DIOPHANTINE_FAIL,
     REASON_MOD4_PATTERN,
     REASON_NOT_INDEX2,
     REASON_NOT_PRIME,
-    ScanTables,
+    pair_family_check,
+    triple_family_check,
+)
+from cyclosrg.gauss_theory import mult_order
+from cyclosrg.ntheory import divisors, factorize, is_prime
+from cyclosrg.srg_engine import (
     _difference_counts,
     certificates_agree,
     difference_count_oracle,
-    pair_family_check,
     predicted_spectrum_prime_power,
     predicted_spectrum_two_primes,
     srg_from_spectrum,
-    triple_family_check,
 )
 
 from conftest import get_field
@@ -352,6 +353,20 @@ def test_src_has_no_assert_statements():
         for path in sorted(src.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_module_imports_private_srg_engine_names():
+    # the family criteria and the scans reach srg_engine through its public names only
+    src = Path(__file__).resolve().parents[1] / "src" / "cyclosrg"
+    found = [
+        f"{path.name}:{alias.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "srg_engine"
+        for alias in node.names
+        if alias.name.startswith("_")
     ]
     assert found == []
 
@@ -695,25 +710,22 @@ def test_triple_family_witness_values():
     assert (check.r1, check.s1) == (118, -125)
 
 
-def test_triple_family_refuses_odd_class_number():
+def test_triple_family_refuses_odd_class_number(monkeypatch):
     # genus theory makes h(Q(sqrt(-p1 p2))) even; a table that says otherwise is an internal fault
-    class OddClassNumber(ScanTables):
-        def class_number(self, d):
-            return 3
-
+    monkeypatch.setattr(family_search.ScanTables, "class_number", lambda self, d: 3)
     with pytest.raises(AssertionError, match="is odd, against genus theory"):
-        triple_family_check(2, 3, 5, tables=OddClassNumber())
+        triple_family_check(2, 3, 5)
 
 
 def test_triple_family_cross_checks_gauss_sign(monkeypatch):
     # a Gauss sum whose b disagrees with b = e (p1 - R) is an internal fault
-    two_primes = srg_engine.predicted_spectrum_two_primes
+    two_primes = family_search.predicted_spectrum_two_primes
 
     def flipped_b(p, p1, p2, m):
         sp = two_primes(p, p1, p2, m)
         return dataclasses.replace(sp, gauss=dataclasses.replace(sp.gauss, b=-sp.gauss.b))
 
-    monkeypatch.setattr(srg_engine, "predicted_spectrum_two_primes", flipped_b)
+    monkeypatch.setattr(family_search, "predicted_spectrum_two_primes", flipped_b)
     with pytest.raises(AssertionError, match="b = 1"):
         triple_family_check(2, 3, 5)
 

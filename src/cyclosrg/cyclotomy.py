@@ -39,12 +39,21 @@ import operator
 
 import numpy as np
 
-from .finite_field import FieldTable
+from .finite_field import SIZE_CAP, FieldTable
+from .ntheory import is_prime
 
 _TALLY_CELL_CAP = 1 << 25
 # a doubling step of the power tables costs about as much as filling this
 # many more elements (BENCH_19.json, "step_cost")
 _STEP_COST = 1 << 14
+
+
+def _checked_p(p: int) -> int:
+    """p as an int, refused with ValueError unless it is a prime <= SIZE_CAP, the largest field order."""
+    p = operator.index(p)
+    if not 2 <= p <= SIZE_CAP or not is_prime(p):
+        raise ValueError(f"p must be a prime <= {SIZE_CAP}, got {p}")
+    return p
 
 
 class CyclotomicInteger:
@@ -60,9 +69,7 @@ class CyclotomicInteger:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: tuple[int, ...]):
-        p = operator.index(p)
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
+        p = _checked_p(p)
         coeffs = tuple(coeffs)
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p = {p}")
@@ -83,6 +90,7 @@ class CyclotomicInteger:
     @classmethod
     def from_exponent_counts(cls, p: int, counts) -> "CyclotomicInteger":
         """Fold sum(counts[j] * xi^j, j = 0..p-1) into the power basis."""
+        p = _checked_p(p)
         counts = [operator.index(c) for c in counts]
         if len(counts) != p:
             raise ValueError(f"need {p} exponent counts for p = {p}")
@@ -91,7 +99,8 @@ class CyclotomicInteger:
 
     @classmethod
     def from_int(cls, p: int, n: int) -> "CyclotomicInteger":
-        return cls(p, (operator.index(n),) + (0,) * (p - 2))
+        p = _checked_p(p)
+        return cls._of(p, (operator.index(n),) + (0,) * (p - 2))
 
     # ring structure
 

@@ -3,9 +3,10 @@
 A pair (p, p1) or triple (p, p1, p2) passing the family criterion gives a
 strongly regular Cayley graph over F_{p^f} for every exponent m >= 1 of p1
 in the class count N.  pair_family_check and triple_family_check test one
-candidate; the scans test every candidate inside a bound box through the
-same reasons functions and report hits with full witnesses and misses with
-reason codes, so an empty region is as auditable as a hit.  The named
+candidate, and the scans every candidate inside a bound box; both hand the
+same reasons functions the integers they test (h and the orders of p), and
+report hits with full witnesses and misses with reason codes, so an empty
+region is as auditable as a hit.  The named
 examples pin the handful of instances small enough to verify end to end on
 a desk machine.
 """
@@ -20,8 +21,8 @@ import numpy as np
 
 from .cyclotomy import classify
 from .finite_field import build_field
-from .gauss_theory import _reduce_order, class_number, reduced_form_counts
-from .ntheory import euler_phi, factorize, is_prime, smallest_prime_factors
+from .gauss_theory import class_number, mult_order, reduced_form_counts
+from .ntheory import euler_phi, is_prime, prime_factors, primes_upto, reduce_order
 from .srg_engine import (
     PredictedSpectrum,
     SrgCertificate,
@@ -31,9 +32,9 @@ from .srg_engine import (
     verify_union,
 )
 
-# Scans build their tables up to their bounds and test every candidate in the
-# box, so both are capped; the slowest box at the caps, scan_triples(100,
-# 10**4), took 0.4-0.6 s on a 2-vCPU VM.
+# Scans count reduced forms and factor ell - 1 up to their bounds and test
+# every candidate in the box, so both are capped; the slowest box at the caps,
+# scan_triples(100, 10**4), took 0.3-0.5 s on a 2-vCPU VM.
 SCAN_BOUND_CAP = 10**4
 SCAN_BOX_CAP = 10**6
 
@@ -51,56 +52,6 @@ REASON_DIOPHANTINE_FAIL = "DIOPHANTINE_FAIL"
 
 # ---------------------------------------------------------------------------
 # family criteria
-
-
-class ScanTables:
-    """is_prime, factorize, class_number(d) and order(p, ell) by lookup for n, d, ell <= bound.
-
-    A scan builds one per call and passes it to the reasons functions: a
-    smallest-prime-factor sieve to bound, and the class numbers of the
-    squarefree d <= bound read off the reduced-form counts to 4 bound, with
-    0 marking every other d.  Outside 1 <= n <= bound, for d not squarefree,
-    and in ScanTables(), the module functions answer or refuse.  The orders
-    ord_ell(p) are kept per (p, ell) as they are asked for, with the prime
-    divisors of each ell - 1 found once.
-    """
-
-    def __init__(self, bound: int = 0):
-        self.bound = bound
-        self._orders: dict[tuple[int, int], int] = {}
-        self._order_primes: dict[int, list[int]] = {}
-        if bound:
-            self.spf = smallest_prime_factors(bound).tolist()
-            d = np.arange(bound + 1)
-            h = reduced_form_counts(4 * bound)[np.where(d % 4 == 3, d, 4 * d)]
-            for i in range(2, math.isqrt(bound) + 1):
-                h[i * i :: i * i] = 0
-            self.class_numbers = h.tolist()
-
-    def is_prime(self, n: int) -> bool:
-        return n >= 2 and self.spf[n] == n if n <= self.bound else is_prime(n)
-
-    def factorize(self, n: int) -> dict[int, int]:
-        if not 1 <= n <= self.bound:
-            return factorize(n)
-        out: dict[int, int] = {}
-        while n > 1:
-            out[self.spf[n]] = out.get(self.spf[n], 0) + 1
-            n //= self.spf[n]
-        return out
-
-    def class_number(self, d: int) -> int:
-        return (self.class_numbers[d] if 1 <= d <= self.bound else 0) or class_number(d)
-
-    def order(self, p: int, ell: int) -> int:
-        """The multiplicative order of p modulo the prime ell, which must not divide p."""
-        order = self._orders.get((p, ell))
-        if order is None:
-            primes = self._order_primes.get(ell)
-            if primes is None:
-                primes = self._order_primes[ell] = list(self.factorize(ell - 1))
-            order = self._orders[p, ell] = _reduce_order(p, ell, ell - 1, primes)
-        return order
 
 
 @dataclass(frozen=True)
@@ -175,25 +126,26 @@ def _family_hit(p: int, p1: int, p2: int | None, h: int, b: int, a_r: int, a_s: 
     )
 
 
-def _pair_reasons(p: int, p1: int, nt: ScanTables) -> tuple[tuple[str, ...], int | None]:
-    """The failing checks of the pair criterion, in order, and h(Q(sqrt(-p1))) once it is read."""
-    if not (nt.is_prime(p) and nt.is_prime(p1)):
-        return (REASON_NOT_PRIME,), None
-    if p == p1:
-        return (REASON_NOT_COPRIME,), None
-    h = nt.class_number(p1)  # refuses p1 beyond CLASS_NUMBER_CAP before any order is found
+def _screen(*ns: int) -> tuple[str, ...]:
+    """NOT_PRIME unless every n is prime, then NOT_COPRIME unless they are distinct; () if both hold."""
+    if not all(map(is_prime, ns)):
+        return (REASON_NOT_PRIME,)
+    return () if len(set(ns)) == len(ns) else (REASON_NOT_COPRIME,)
+
+
+def _pair_reasons(p: int, p1: int, h: int, order: int) -> tuple[str, ...]:
+    """The pair criterion's failing checks, in order, for distinct primes, h = h(Q(sqrt(-p1))) and order = ord_p1(p)."""
     reasons: list[str] = []
     if p1 <= 3:
         reasons.append(REASON_P1_TOO_SMALL)
     if p1 % 4 != 3:
         reasons.append(REASON_MOD4_PATTERN)
     # the order modulo p1^2 is the order o modulo p1, or p1 o
-    order = nt.order(p, p1)
     if order != (p1 - 1) // 2 or pow(p, order, p1 * p1) == 1:
         reasons.append(REASON_NOT_INDEX2)
     if 1 + p1 != 4 * p**h:
         reasons.append(REASON_DIOPHANTINE_FAIL)
-    return tuple(reasons), h
+    return tuple(reasons)
 
 
 def _pair_hit(p: int, p1: int, h: int) -> FamilyCheck:
@@ -212,31 +164,29 @@ def pair_family_check(p: int, p1: int) -> FamilyCheck:
     for every m.
     """
     p, p1 = operator.index(p), operator.index(p1)
-    reasons, h = _pair_reasons(p, p1, ScanTables())
+    reasons = _screen(p, p1)
+    if reasons:
+        return FamilyCheck(p, p1, None, reasons)
+    h = class_number(p1)  # refuses p1 beyond CLASS_NUMBER_CAP before any order is found
+    reasons = _pair_reasons(p, p1, h, mult_order(p, p1))
     return FamilyCheck(p, p1, None, reasons, h=h) if reasons else _pair_hit(p, p1, h)
 
 
-def _triple_reasons(p: int, p1: int, p2: int, nt: ScanTables) -> tuple[tuple[str, ...], int | None]:
-    """The failing checks of the triple criterion, in order, and h(Q(sqrt(-p1 p2))) once it is read."""
-    if not (nt.is_prime(p) and nt.is_prime(p1) and nt.is_prime(p2)):
-        return (REASON_NOT_PRIME,), None
-    if p in (p1, p2) or p1 == p2:
-        return (REASON_NOT_COPRIME,), None
-    h = nt.class_number(p1 * p2)  # refuses p1 p2 beyond CLASS_NUMBER_CAP before any order is found
+def _triple_reasons(p: int, p1: int, p2: int, h: int, o1: int, o2: int) -> tuple[str, ...]:
+    """The triple criterion's failing checks, in order, for distinct primes, h = h(Q(sqrt(-p1 p2))), oi = ord_pi(p)."""
     if h % 2:
         raise AssertionError(f"h(Q(sqrt(-{p1 * p2}))) = {h} is odd, against genus theory")
     reasons: list[str] = []
     if {p1 % 4, p2 % 4} != {1, 3}:
         reasons.append(REASON_MOD4_PATTERN)
-    # orders modulo p1^2 and p1 p2 follow from o1 = ord mod p1 and o2 = ord mod p2
-    o1, o2 = nt.order(p, p1), nt.order(p, p2)
+    # orders modulo p1^2 and p1 p2 follow from o1 and o2
     full_orders = o1 == p1 - 1 and pow(p, o1, p1 * p1) != 1 and o2 == p2 - 1
     index2_overall = 2 * math.lcm(o1, o2) == (p1 - 1) * (p2 - 1)
     if not (full_orders and index2_overall):
         reasons.append(REASON_NOT_INDEX2)
     if 1 + p1 * p2 != 4 * p**h:
         reasons.append(REASON_DIOPHANTINE_FAIL)
-    return tuple(reasons), h
+    return tuple(reasons)
 
 
 def _triple_hit(p: int, p1: int, p2: int, h: int) -> FamilyCheck:
@@ -254,7 +204,11 @@ def triple_family_check(p: int, p1: int, p2: int) -> FamilyCheck:
     so b = e (p1 - R) = +-1 with e = (-1)^{(p1-1)/2}.
     """
     p, p1, p2 = operator.index(p), operator.index(p1), operator.index(p2)
-    reasons, h = _triple_reasons(p, p1, p2, ScanTables())
+    reasons = _screen(p, p1, p2)
+    if reasons:
+        return FamilyCheck(p, p1, p2, reasons)
+    h = class_number(p1 * p2)  # refuses p1 p2 beyond CLASS_NUMBER_CAP before any order is found
+    reasons = _triple_reasons(p, p1, p2, h, mult_order(p, p1), mult_order(p, p2))
     return FamilyCheck(p, p1, p2, reasons, h=h) if reasons else _triple_hit(p, p1, p2, h)
 
 
@@ -309,16 +263,32 @@ def _check_scan_bounds(p_max: int, other_max: int) -> None:
         raise ValueError(f"search box {p_max} x {other_max} exceeds the cap of {SCAN_BOX_CAP} candidates")
 
 
+def _class_numbers(d_max: int) -> list[int]:
+    """h(Q(sqrt(-d))) at index d for every squarefree d <= d_max, read off one count of reduced forms."""
+    d = np.arange(d_max + 1)
+    return reduced_form_counts(4 * d_max)[np.where(d % 4 == 3, d, 4 * d)].tolist()
+
+
+def _orders(p: int, factors: dict[int, list[int]]) -> dict[int, int]:
+    """{ell: ord_ell(p)} for every prime ell != p in factors, which holds the prime divisors of ell - 1."""
+    return {ell: reduce_order(p, ell, ell - 1, primes) for ell, primes in factors.items() if ell != p}
+
+
 def scan_pairs(p_max: int, p1_max: int) -> SearchReport:
     """Test every prime pair (p <= p_max, p1 <= p1_max) for the criterion."""
     _check_scan_bounds(p_max, p1_max)
-    tables = ScanTables(max(p_max, p1_max))
-    partner_primes = list(filter(tables.is_prime, range(p1_max + 1)))
+    class_numbers = _class_numbers(p1_max)
+    factors = {p1: prime_factors(p1 - 1) for p1 in primes_upto(p1_max)}
     hits: list[FamilyCheck] = []
     rejections: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
-    for p in filter(tables.is_prime, range(p_max + 1)):
-        for p1 in partner_primes:
-            reasons, h = _pair_reasons(p, p1, tables)
+    for p in primes_upto(p_max):
+        orders = _orders(p, factors)
+        for p1 in factors:
+            if p == p1:
+                reasons = (REASON_NOT_COPRIME,)
+            else:
+                h = class_numbers[p1]
+                reasons = _pair_reasons(p, p1, h, orders[p1])
             if reasons:
                 rejections.append(((p, p1), reasons))
             else:
@@ -329,18 +299,23 @@ def scan_pairs(p_max: int, p1_max: int) -> SearchReport:
 def scan_triples(p_max: int, n_max: int) -> SearchReport:
     """Test every ordered triple with p <= p_max and p1 * p2 <= n_max."""
     _check_scan_bounds(p_max, n_max)
-    tables = ScanTables(max(p_max, n_max))
-    partner_primes = list(filter(tables.is_prime, range(n_max // 2 + 1)))
+    class_numbers = _class_numbers(n_max)
+    factors = {ell: prime_factors(ell - 1) for ell in primes_upto(n_max // 2)}
     hits: list[FamilyCheck] = []
     rejections: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
-    for p in filter(tables.is_prime, range(p_max + 1)):
-        for p1 in partner_primes:
-            for p2 in partner_primes:
+    for p in primes_upto(p_max):
+        orders = _orders(p, factors)
+        for p1 in factors:
+            for p2 in factors:
                 if p1 * p2 > n_max:
                     break
                 if p1 == p2:
                     continue
-                reasons, h = _triple_reasons(p, p1, p2, tables)
+                if p in (p1, p2):
+                    reasons = (REASON_NOT_COPRIME,)
+                else:
+                    h = class_numbers[p1 * p2]
+                    reasons = _triple_reasons(p, p1, p2, h, orders[p1], orders[p2])
                 if reasons:
                     rejections.append(((p, p1, p2), reasons))
                 else:

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .finite_field import FieldTable
-from .ntheory import euler_phi, factorize, is_prime, is_squarefree
+from .ntheory import euler_phi, factorize, is_prime, is_squarefree, reduce_order
 
 _NUMERIC_CAP = 1 << 16
 # form counting takes time linear in d: about 0.08 s at the cap
@@ -147,15 +147,7 @@ def mult_order(a: int, n: int) -> int:
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} and {n} are not coprime")
     phi = euler_phi(n)
-    return _reduce_order(a, n, phi, factorize(phi))
-
-
-def _reduce_order(a: int, n: int, order: int, primes) -> int:
-    """The order of a modulo n, given a multiple of it and that multiple's prime divisors."""
-    for prime in primes:
-        while order % prime == 0 and pow(a, order // prime, n) == 1:
-            order //= prime
-    return order
+    return reduce_order(a, n, phi, factorize(phi))
 
 
 def classify_index2(p: int, N: int) -> Index2Case:
@@ -174,7 +166,7 @@ def _classify_index2(p: int, N: int, fac: dict[int, int] | None) -> Index2Case:
         raise ValueError(f"p = {p} and N = {N} are not coprime")
     fac = sorted((fac or factorize(N)).items())
     phis = [(l - 1) * l ** (e - 1) for l, e in fac]
-    orders = [_reduce_order(p, l**e, phi, [*factorize(l - 1), l]) for (l, e), phi in zip(fac, phis)]
+    orders = [reduce_order(p, l**e, phi, [*factorize(l - 1), l]) for (l, e), phi in zip(fac, phis)]
     order = math.lcm(*orders)
     minus_one_in = order % 2 == 0 and pow(p, order // 2, N) == N - 1
     if 2 * order != math.prod(phis) or minus_one_in:
@@ -265,7 +257,7 @@ def semiprimitive_gauss(p: int, N: int, r: int) -> SemiprimitiveGauss:
         raise ValueError(f"p = {p} and N = {N} are not coprime")
     if pow(p, r, N) != 1:
         raise ValueError(f"r = {r} is not a multiple of the order of {p} modulo {N}")
-    order = _reduce_order(p, N, r, factorize(r))
+    order = reduce_order(p, N, r, factorize(r))
     if order % 2 or pow(p, order // 2, N) != N - 1:
         raise ValueError(f"no power of {p} is -1 modulo {N}")
     t = order // 2

@@ -78,6 +78,14 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def reduce_order(a: int, n: int, order: int, primes) -> int:
+    """The multiplicative order of a modulo n, given a multiple of it and that multiple's prime divisors."""
+    for prime in primes:
+        while order % prime == 0 and pow(a, order // prime, n) == 1:
+            order //= prime
+    return order
+
+
 def prime_factors(n: int) -> list[int]:
     """Sorted distinct prime divisors of n."""
     return sorted(factorize(n))

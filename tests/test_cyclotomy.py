@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclosrg import cyclotomy
 from cyclosrg.cyclotomy import ClassMap, CyclotomicInteger, classify
-from cyclosrg.finite_field import build_field
+from cyclosrg.finite_field import SIZE_CAP, build_field
 from cyclosrg.ntheory import divisors, is_prime
 from cyclosrg.srg_engine import _sum_product, difference_count_oracle, srg_from_spectrum
 
@@ -208,6 +208,20 @@ def test_ring_errors():
         CyclotomicInteger(3, (0, 1)).to_int()
     with pytest.raises(ValueError, match="coefficients"):
         CyclotomicInteger(3, (1, 2, 3))
+
+
+# composites, and primes above SIZE_CAP up to 2^61 - 1, for which a (p - 1)-tuple cannot be allocated
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 91, SIZE_CAP, 4194319, 2**61 - 1])
+def test_ring_refuses_p_other_than_a_prime_within_the_field_cap(p):
+    # each constructor checks p before it builds anything of length p
+    calls = [
+        lambda: CyclotomicInteger(p, (1, 2, 3)),
+        lambda: CyclotomicInteger.from_int(p, 0),
+        lambda: CyclotomicInteger.from_exponent_counts(p, [0, 0, 0, 0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="p must be a prime"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from cyclosrg.gauss_theory import (
     semiprimitive_gauss,
 )
 from cyclosrg.ntheory import euler_phi, factorize, is_squarefree, primes_upto
-from cyclosrg.family_search import ScanTables
 from cyclosrg.srg_engine import predicted_spectrum_prime_power, predicted_spectrum_two_primes
 
 from conftest import get_field
@@ -201,16 +200,9 @@ def test_class_number_independent_recount():
 
 def test_reduced_form_counts_match_class_number():
     counts = reduced_form_counts(4 * 2000)
-    tables = ScanTables(2000)
     for d in range(1, 2001):
         if is_squarefree(d):
-            h = class_number(d)
-            assert counts[d if d % 4 == 3 else 4 * d] == h, d
-            assert tables.class_number(d) == h, d
-    # outside squarefree 1 <= d <= bound the tables defer to class_number, which refuses
-    for d in (-1, 0, 4, 18):
-        with pytest.raises(ValueError):
-            tables.class_number(d)
+            assert counts[d if d % 4 == 3 else 4 * d] == class_number(d), d
 
 
 def test_class_number_parity_follows_genus_theory():

@@ -12,10 +12,12 @@ from cyclosrg.ntheory import (
     TRIAL_DIVISION_BOUND,
     factorize,
     is_prime,
+    prime_factors,
     primes_upto,
+    reduce_order,
     smallest_prime_factors,
 )
-from cyclosrg.family_search import ScanTables, pair_family_check
+from cyclosrg.family_search import pair_family_check
 
 PSI_12 = 318665857834031151167461  # strong pseudoprime to the first 12 prime bases
 
@@ -106,26 +108,14 @@ def test_primes_upto_matches_reference_sieve():
 def test_smallest_prime_factors_and_sieve_factorization():
     spf = smallest_prime_factors(20000)
     assert spf[:2].tolist() == [0, 1]
-    tables = ScanTables(20000)
-    for n in range(1, 20001):
-        fac = factorize(n)
-        assert n < 2 or spf[n] == min(fac), n
-        assert tables.factorize(n) == fac, n
-        assert tables.is_prime(n) == is_prime(n), n
-    # outside 1 <= n <= bound the module function answers or refuses
-    with pytest.raises(ValueError):
-        tables.factorize(0)
-    with pytest.raises(ValueError):
-        tables.factorize(-5)
+    for n in range(2, 20001):
+        assert spf[n] == min(factorize(n)), n
 
 
-def test_scan_table_orders_match_mult_order():
+def test_reduce_order_matches_mult_order():
+    # the scans reduce ell - 1 over its prime divisors to find ord_ell(p)
     primes = primes_upto(2000)
-    tables, direct = ScanTables(2000), ScanTables()
     for p in primes_upto(60):
         for ell in primes:
             if ell != p:
-                expected = mult_order(p, ell)
-                assert tables.order(p, ell) == direct.order(p, ell) == expected, (p, ell)
-    # asked again, the kept orders give the same answers
-    assert [tables.order(2, ell) for ell in primes[1:]] == [mult_order(2, ell) for ell in primes[1:]]
+                assert reduce_order(p, ell, ell - 1, prime_factors(ell - 1)) == mult_order(p, ell), (p, ell)

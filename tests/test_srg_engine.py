@@ -22,6 +22,7 @@ from cyclosrg.family_search import (
     REASON_NOT_INDEX2,
     REASON_NOT_PRIME,
     pair_family_check,
+    scan_triples,
     triple_family_check,
 )
 from cyclosrg.gauss_theory import mult_order
@@ -357,14 +358,14 @@ def test_src_has_no_assert_statements():
     assert found == []
 
 
-def test_no_module_imports_private_srg_engine_names():
-    # the family criteria and the scans reach srg_engine through its public names only
+def test_no_module_imports_private_names():
+    # every module reaches the others through their public names only
     src = Path(__file__).resolve().parents[1] / "src" / "cyclosrg"
     found = [
         f"{path.name}:{alias.name}"
         for path in sorted(src.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "srg_engine"
+        if isinstance(node, ast.ImportFrom) and node.level
         for alias in node.names
         if alias.name.startswith("_")
     ]
@@ -711,10 +712,17 @@ def test_triple_family_witness_values():
 
 
 def test_triple_family_refuses_odd_class_number(monkeypatch):
-    # genus theory makes h(Q(sqrt(-p1 p2))) even; a table that says otherwise is an internal fault
-    monkeypatch.setattr(family_search.ScanTables, "class_number", lambda self, d: 3)
+    # genus theory makes h(Q(sqrt(-p1 p2))) even; a class number that says otherwise is an internal fault
+    monkeypatch.setattr(family_search, "class_number", lambda d: 3)
     with pytest.raises(AssertionError, match="is odd, against genus theory"):
         triple_family_check(2, 3, 5)
+
+
+def test_triple_scan_refuses_odd_class_number(monkeypatch):
+    # the scan reads h off the form counts; an odd count there is the same internal fault
+    monkeypatch.setattr(family_search, "reduced_form_counts", lambda n_max: np.full(n_max + 1, 3))
+    with pytest.raises(AssertionError, match="is odd, against genus theory"):
+        scan_triples(5, 400)
 
 
 def test_triple_family_cross_checks_gauss_sign(monkeypatch):

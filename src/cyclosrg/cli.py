@@ -23,6 +23,8 @@ return None in its place otherwise.  The parser is built once, at import.
 from __future__ import annotations
 
 import argparse
+import decimal
+import functools
 import json
 import sys
 
@@ -63,6 +65,44 @@ def _srg_line(cert, eigenvalues: str) -> str:
         f"srg({cert.v}, {cert.k}, {cert.lam}, {cert.mu}), {eigenvalues}, "
         f"multiplicities ({cert.mult_r}, {cert.mult_s})"
     )
+
+
+class _BigInt:
+    """An int that json.dumps hands to _json's default hook, for _digits to spell."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+
+_HALVING_BITS = 2048  # below this many bits a half is made by Decimal(n) directly
+
+
+def _spell(n: int, bits: int, two) -> decimal.Decimal:
+    """n as a Decimal, for 0 <= n < 2^bits: n = hi 2^w + lo, with 2^w read from two(w)."""
+    if bits <= _HALVING_BITS:
+        return decimal.Decimal(n)
+    w = bits // 2
+    hi = n >> w
+    return _spell(hi, bits - w, two) * two(w) + _spell(n - (hi << w), w, two)
+
+
+def _digits(ns: list[int]) -> list[str]:
+    """[str(n) for n in ns] without CPython 3.11's quadratic int -> str: n splits by bits into
+    halves, joined in exact decimal arithmetic; each 2^w is made once for all ns."""
+    two = functools.cache(lambda w: decimal.Decimal(2) ** w)
+    with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)):
+        return [("-" if n < 0 else "") + str(_spell(abs(n), abs(n).bit_length(), two)) for n in ns]
+
+
+def _json(data) -> str:
+    """json.dumps(data, sort_keys=True), each _BigInt spelled by _digits: the C encoder prints every
+    int, even a subclass, by int.__repr__, so a _BigInt passes through the default hook as a
+    placeholder string, and the placeholders are filled in encoding order."""
+    big: list[int] = []
+    text = json.dumps(data, sort_keys=True, default=lambda obj: big.append(obj.n) or "\0")
+    for digits in _digits(big) if big else ():  # most payloads hold no _BigInt
+        text = text.replace('"\\u0000"', digits, 1)
+    return text
 
 
 def _ints_arg(text: str) -> tuple[int, ...]:
@@ -249,7 +289,14 @@ def _cmd_scan(args):
     def pretty():
         return [title, *(line.replace("\t", "  ") for line in tsv())]
 
-    return report.to_json_dict() if args.format == "json" else None, tsv, pretty, 0
+    if args.format != "json":
+        return None, tsv, pretty, 0
+    data = report.to_json_dict()
+    for hit in data["hits"]:  # a witness can reach tens of thousands of digits
+        for key in ("r_m1", "s_m1", "r_m2", "s_m2"):
+            if abs(hit[key]).bit_length() > _HALVING_BITS:
+                hit[key] = _BigInt(hit[key])
+    return data, tsv, pretty, 0
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +378,10 @@ _PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    # witnesses such as r_m2 of scan-pairs reach tens of thousands of digits;
-    # lift Python's int -> str digit limit (3.11+) so that they print in full
+    # lift Python's int <-> str digit limit (3.11+) before argv is parsed, so
+    # that a huge numeric argument meets the caps' own messages.  The lift
+    # outlives the call: perfbench reads the 43423-digit scan witnesses back
+    # with json.loads in its own process and needs it (ROADMAP item 7)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = _PARSER.parse_args(argv)
@@ -345,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":
-        print(json.dumps(data, sort_keys=True))
+        print(_json(data))
     else:
         print("\n".join((tsv if args.format == "tsv" else pretty)()))
     return code

@@ -45,9 +45,9 @@ from .finite_field import FieldTable
 from .gauss_theory import QuadraticGaussValue, index2_gauss_prime_power, index2_gauss_two_primes
 
 PAIR_BUDGET = 1 << 26
-# closed-form predictions form p^f in full: capped at 2^20 bits, counted as f
-# times the bit length of p; the largest family hit inside the scan caps,
-# (5, 499) at m = 2, needs 372753 bits
+# predictions form p^h0 and p^(f/2), and p^f only when v, k or certificate() is
+# read: capped at 2^20 bits, counted as f times the bit length of p; the largest
+# family hit inside the scan caps, (5, 499) at m = 2, needs 372753 bits
 PREDICTION_BITS_CAP = 1 << 20
 
 
@@ -300,8 +300,8 @@ class PredictedSpectrum:
     """Eigenvalue candidates of the cyclotomic Cayley graph, by closed form.
 
     values are (tag, exact value) pairs; tags name the candidate branch.
-    v and k are the graph order and valency; gauss is the quadratic
-    certificate the formulas were built from.
+    gauss is the quadratic certificate the formulas were built from.  v and
+    k, the graph order and valency, are formed when read.
     """
 
     p: int
@@ -309,10 +309,16 @@ class PredictedSpectrum:
     m: int
     p2: int | None
     N: int
-    v: int
-    k: int
     gauss: QuadraticGaussValue
     values: tuple[tuple[str, Fraction], ...]
+
+    @property
+    def v(self) -> int:
+        return self.p**self.gauss.f
+
+    @property
+    def k(self) -> int:
+        return (self.v - 1) // (self.p1 * (self.p2 or 1))
 
     def distinct_values(self) -> list[Fraction]:
         return sorted(set(val for _, val in self.values), reverse=True)
@@ -366,9 +372,7 @@ def predicted_spectrum_prime_power(p: int, p1: int, m: int) -> PredictedSpectrum
         ("c_plus", Fraction(c * ph0, 2) + base),
         ("c_minus", -Fraction(c * ph0, 2) + base),
     )
-    v = p**gauss.f
-    k = (v - 1) // p1
-    return PredictedSpectrum(p, p1, m, None, p1**m, v, k, gauss, values)
+    return PredictedSpectrum(p, p1, m, None, p1**m, gauss, values)
 
 
 def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> PredictedSpectrum:
@@ -406,6 +410,4 @@ def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> Predicted
             ("c_three", c_three),
         )
     )
-    v = p**f
-    k = (v - 1) // (p1 * p2)
-    return PredictedSpectrum(p, p1, m, p2, N, v, k, gauss, values)
+    return PredictedSpectrum(p, p1, m, p2, N, gauss, values)

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import random
+import sys
 import time
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclosrg.cli import main
+from cyclosrg.cli import _HALVING_BITS, _digits, main
 from cyclosrg.family_search import _check_scan_bounds
 from cyclosrg.gauss_theory import (
     INDEX2_EXPONENT_CAP,
@@ -217,6 +219,30 @@ def test_scan_pairs_json_prints_long_witnesses(capsys):
     assert len(str(big["r_m2"]).lstrip("-")) == 43423
 
 
+@pytest.fixture
+def no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_digits_at_the_halving_thresholds(no_digit_limit):
+    # one call, so the powers of 2 are shared across every bit length
+    widths = [0, 1, 2, 63, 64, 65] + [j * _HALVING_BITS + d for j in (1, 2, 4) for d in (-1, 0, 1)]
+    ns = [n for w in widths for n in (2**w, 2**w - 1, 10 ** (w * 3 // 10))]
+    ns += [-n for n in ns]
+    assert _digits(ns) == [str(n) for n in ns]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draws=st.lists(st.tuples(st.integers(0, 300_000), st.booleans(), st.integers(0, 2**32)), min_size=1, max_size=3))
+def test_digits_match_str(no_digit_limit, draws):
+    ns = [(-1) ** negative * random.Random(seed).getrandbits(bits) for bits, negative, seed in draws]
+    assert _digits(ns) == [str(n) for n in ns]
+
+
 # (argv, exit code, sha256 of stdout) for every subcommand in every format.
 # Periods with irrational values are left out: their re/im floats come from
 # a numpy dot product whose last bits may vary between BLAS builds.
@@ -299,6 +325,8 @@ _GOLDEN = [
     ("scan-pairs --p-max 10 --p1-max 110 --format json", 0, "274caab04beef0e2258be536b1a7c92cf26daf9e28e460aa047fbfebd6ebf678"),
     ("scan-pairs --p-max 10 --p1-max 110 --format tsv", 0, "40bfb6c65657d2419a95867b599fcea74d91fd20cad0744a59f1357d3b1b7b51"),
     ("scan-pairs --p-max 10 --p1-max 110 --format pretty", 0, "8fff42893280a8548b5183b490a8f923989f8bed7d8260cb79e86a5eaf1e45b0"),
+    # pins the bytes of the 43423-digit witnesses of (5, 499)
+    ("scan-pairs --p-max 50 --p1-max 500 --format json", 0, "f0972464592250b148b3aecfa74ade14fcba447c6ee1c1d0e4b66dbddd4bd107"),
     ("scan-triples --p-max 3 --n-max 40 --format json", 0, "c4233540bda900b97b1d3c65d643ab656af56960f84cf9d71e16c053327f9f0b"),
     ("scan-triples --p-max 3 --n-max 40 --format tsv", 0, "964b57103013bf1556f9e5ce7b5d392b46b2cbfce648f10d0136bbf5db8e1b34"),
     ("scan-triples --p-max 3 --n-max 40 --format pretty", 0, "8860328db95183091a53df3b11a7edbfb717de368d7dcc670a274cbb6a6ef728"),

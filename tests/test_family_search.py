@@ -202,13 +202,15 @@ def test_verify_odd_characteristic_example():
 
 @pytest.mark.parametrize("name", sorted(NAMED_EXAMPLES))
 def test_oracle_agrees_on_every_named_example(name):
-    # verify_named_example runs the oracle only for q <= _ORACLE_Q_CAP; here it runs on all seven
+    # verify_named_example runs the oracle only for q <= _ORACLE_Q_CAP; here it runs on all seven,
+    # against the computed and the closed-form certificates
     ex = NAMED_EXAMPLES[name]
     cm = classify(build_field(ex.p, ex.f), ex.n)
     cert = srg_from_spectrum(ex.q, ex.k, cm.connection_sums(ex.classes), source="COMPUTED")
     oracle = difference_count_oracle(cm, ex.classes)
     assert cert is not None and oracle is not None
     assert certificates_agree(cert, oracle)
+    assert certificates_agree(oracle, ex.predicted().certificate())
 
 
 def test_named_example_leaves_the_tables_unbuilt(monkeypatch):

@@ -11,12 +11,13 @@ over a class, folded into the power basis {1, xi, ..., xi^{p-2}} using
 1 + xi + ... + xi^{p-1} = 0.
 
 gamma^i lies in C_{i mod N}, so the classes are the columns of the antilog
-table viewed as a (q-1)/N x N array: column a lists C_a in log order.  The
-elements of a union of classes are read off that view.  The trace tally
-counts traces one column at a time.  x -> x^p maps C_a onto C_{pa mod N} and
-keeps the trace, so tally rows are constant on the orbits of a -> pa mod N.
-On a large field whose antilog table is not built yet, and whose orbits are
-few, the tally counts only one column per orbit, gamma^(a + Nj) built by
+table viewed as a (q-1)/N x N array: column a lists C_a in log order.  Every
+union D of classes passes the public check ClassMap.classes, and its
+elements are read off that view.  The trace tally counts traces one column
+at a time.  x -> x^p maps C_a onto C_{pa mod N} and keeps the trace, so
+tally rows are constant on the orbits of a -> pa mod N.  On a large field
+whose antilog table is not built yet, and whose orbits are few, the tally
+counts only one column per orbit, gamma^(a + Nj) built by
 FieldTable.class_columns, and copies its row to the rest of the orbit; else
 it counts all N columns of the antilog table.
 
@@ -70,11 +71,9 @@ class CyclotomicInteger:
 
     def __init__(self, p: int, coeffs: tuple[int, ...]):
         p = _checked_p(p)
-        coeffs = tuple(coeffs)
+        coeffs = tuple(map(operator.index, coeffs))
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p = {p}")
-        if set(map(type, coeffs)) - {int}:
-            coeffs = tuple(map(operator.index, coeffs))
         self.p = p
         self.coeffs = coeffs
 
@@ -274,13 +273,13 @@ class ClassMap:
 
     def is_symmetric(self, D) -> bool:
         """Whether the union of classes D is closed under negation."""
-        d = self._check_classes(D)
+        d = set(self.classes(D))
         t = self.negation_shift
         return all((i + t) % self.N in d for i in d)
 
     def connection_sums(self, D) -> list[CyclotomicInteger]:
         """psi(gamma^a D) = sum over i in D of eta_{(a+i) mod N}, for a = 0..N-1."""
-        d = sorted(self._check_classes(D))
+        d = self.classes(D)
         # rows i .. i+N-1 of the doubled tally are the periods shifted by i
         doubled = np.concatenate((self.tally, self.tally))
         acc = np.zeros_like(self.tally)
@@ -290,11 +289,11 @@ class ClassMap:
 
     def connection_set_elements(self, D) -> np.ndarray:
         """Encodings of all field elements lying in the classes D, in log order."""
-        d = sorted(self._check_classes(D))
-        return self.field.antilog.reshape(-1, self.N)[:, d].ravel()
+        return self.field.antilog.reshape(-1, self.N)[:, self.classes(D)].ravel()
 
-    def _check_classes(self, D) -> set[int]:
-        d = set(map(operator.index, D))
+    def classes(self, D) -> list[int]:
+        """The distinct class indices in D, sorted; ValueError if D is empty or an index lies outside [0, N)."""
+        d = sorted(set(map(operator.index, D)))
         if not d:
             raise ValueError("connection set must be a nonempty set of classes")
         if not all(0 <= i < self.N for i in d):

@@ -381,7 +381,7 @@ def index2_gauss_prime_power(p: int, p1: int, m: int) -> QuadraticGaussValue:
     case = _classify_index2(p, p1**m, {p1: m})
     if case.tag is not Index2Kind.PRIME_POWER:
         raise ValueError(f"<{p}> does not have index 2 without -1 modulo {p1}**{m} (got {case.tag.value})")
-    f = (p1 - 1) * p1 ** (m - 1) // 2
+    f = case.order
     if (f - h) % 2:
         raise ValueError("f - h is odd, no integral h0 exists")
     h0 = (f - h) // 2
@@ -412,7 +412,7 @@ def index2_gauss_two_primes(p: int, p1: int, p2: int, m: int) -> QuadraticGaussV
     case = _classify_index2(p, N, {p1: m, p2: 1})
     if case.tag is not Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX:
         raise ValueError(f"<{p}> modulo {N} is not the two-prime index-2 case (got {case.tag.value})")
-    f = (p1 - 1) * p1 ** (m - 1) * (p2 - 1) // 2
+    f = case.order
     # 8 divides (p1 - 1)(p2 - 1), so 4 divides f and this also refuses an odd h
     if (f - h) % 2:
         raise ValueError("f - h is odd, no integral h0 exists")

@@ -110,17 +110,13 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def smallest_prime_factors(n: int) -> np.ndarray:
-    """spf[k] = the smallest prime dividing k, for 2 <= k <= n, by sieve (spf[0] = 0, spf[1] = 1)."""
-    spf = np.zeros(max(n, 1) + 1, dtype=np.int32 if n < 2**31 else np.int64)
-    for i in range(2, math.isqrt(max(n, 0)) + 1):
-        if spf[i] == 0:
-            multiples = spf[i * i :: i]
-            multiples[multiples == 0] = i
-    return np.where(spf == 0, np.arange(len(spf), dtype=spf.dtype), spf)
-
-
 def primes_upto(n: int) -> list[int]:
-    """Primes <= n, read off the smallest-prime-factor sieve."""
-    spf = smallest_prime_factors(n)
-    return (np.flatnonzero(spf[2:] == np.arange(2, len(spf))) + 2).tolist()
+    """Primes <= n, by the sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    return np.flatnonzero(sieve).tolist()

@@ -17,10 +17,10 @@ shared function, _certificate, whose result SrgCertificate re-checks:
 * predicted_spectrum_*: closed-form eigenvalue candidates straight from the
   quadratic Gauss sum certificate (b, c, h0).
 
-A class union is decided in one place, verify_union: it refuses a union
-that is not symmetric, passes the distinct connection sums to
-srg_from_spectrum, and runs the oracle when asked.  The CLI's verify-srg
-and verify-example (through verify_named_example) both call it.
+A class union is decided in one place, verify_union: it checks D with
+ClassMap.classes, refuses an asymmetric D as the oracle does, passes the
+distinct sums to srg_from_spectrum, and runs the oracle when asked.  The
+CLI's verify-srg and verify-example (via verify_named_example) call it.
 
 A conference-graph spectrum (two conjugate irrational eigenvalues) is
 accepted when r+s and r*s are rational integers, which srg_from_spectrum
@@ -220,6 +220,14 @@ def srg_from_spectrum(v: int, k: int, values, source: str = "SPECTRUM") -> SrgCe
     return None if e12 is None else _certificate(v, k, *e12, source)
 
 
+def _symmetric_classes(cm: ClassMap, D) -> list[int]:
+    """cm.classes(D), refused with ValueError unless their union is closed under negation."""
+    d = cm.classes(D)
+    if not cm.is_symmetric(d):
+        raise ValueError("connection set is not symmetric (-D != D); the Cayley graph would be directed")
+    return d
+
+
 def _difference_counts(field: FieldTable, N: int, D: list[int]) -> tuple[np.ndarray, int]:
     """Difference counts of the union D of classes of order N, per class.
 
@@ -260,9 +268,7 @@ def difference_count_oracle(cm: ClassMap, D) -> SrgCertificate | None:
     characters.
     """
     q = cm.field.q
-    d = sorted(cm._check_classes(D))
-    if not cm.is_symmetric(d):
-        raise ValueError("connection set is not symmetric (-D != D); the graph would be directed")
+    d = _symmetric_classes(cm, D)
     k = len(d) * cm.class_size
     if k * len(d) > PAIR_BUDGET:
         raise ValueError(f"difference pair budget exceeded: k|D| = {k * len(d)} > {PAIR_BUDGET}")
@@ -283,9 +289,7 @@ def difference_count_oracle(cm: ClassMap, D) -> SrgCertificate | None:
 
 def verify_union(cm: ClassMap, D, source: str, oracle: bool) -> tuple[tuple, SrgCertificate | None, bool | None]:
     """Decide the symmetric union D: distinct sums by first occurrence, certificate, oracle agreement or None."""
-    d = cm._check_classes(D)
-    if not cm.is_symmetric(d):
-        raise ValueError("connection set is not symmetric (-D != D); the Cayley graph would be directed")
+    d = _symmetric_classes(cm, D)
     distinct = tuple(dict.fromkeys(cm.connection_sums(d)))
     cert = srg_from_spectrum(cm.field.q, len(d) * cm.class_size, distinct, source)
     return distinct, cert, certificates_agree(cert, difference_count_oracle(cm, d)) if oracle else None
@@ -351,6 +355,13 @@ class PredictedSpectrum:
         return srg_from_spectrum(self.v, self.k, self.integer_values(), source="PREDICTED")
 
 
+def _capped_terms(gauss: QuadraticGaussValue) -> tuple[int, int, int]:
+    """(b, |c|, p^h0) of the Gauss value, refused with ValueError before p^h0 is formed if p^f passes the cap."""
+    if gauss.f * gauss.p.bit_length() > PREDICTION_BITS_CAP:
+        raise ValueError(f"p^f = {gauss.p}^{gauss.f} exceeds the cap of {PREDICTION_BITS_CAP} bits")
+    return gauss.b, gauss.c_abs, gauss.p**gauss.h0
+
+
 def predicted_spectrum_prime_power(p: int, p1: int, m: int) -> PredictedSpectrum:
     """Eigenvalues of Cay(F_{p^f}, C_0 u ... u C_{p1^{m-1}-1}), N = p1^m.
 
@@ -362,10 +373,7 @@ def predicted_spectrum_prime_power(p: int, p1: int, m: int) -> PredictedSpectrum
     """
     p, p1, m = operator.index(p), operator.index(p1), operator.index(m)
     gauss = index2_gauss_prime_power(p, p1, m)
-    if gauss.f * p.bit_length() > PREDICTION_BITS_CAP:
-        raise ValueError(f"p^f = {p}^{gauss.f} exceeds the cap of {PREDICTION_BITS_CAP} bits")
-    b, c, h0 = gauss.b, gauss.c_abs, gauss.h0
-    ph0 = p**h0
+    b, c, ph0 = _capped_terms(gauss)
     base = -Fraction(b * ph0, 2 * p1) - Fraction(1, p1)
     values = (
         ("c_zero", Fraction(b * ph0, 2) + base),
@@ -383,15 +391,11 @@ def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> Predicted
     """
     p, p1, p2, m = operator.index(p), operator.index(p1), operator.index(p2), operator.index(m)
     gauss = index2_gauss_two_primes(p, p1, p2, m)
-    if gauss.f * p.bit_length() > PREDICTION_BITS_CAP:
-        raise ValueError(f"p^f = {p}^{gauss.f} exceeds the cap of {PREDICTION_BITS_CAP} bits")
-    b, c, h0 = gauss.b, gauss.c_abs, gauss.h0
+    b, c, ph0 = _capped_terms(gauss)
     N = p1**m * p2
-    f = gauss.f
-    if f % 2:
+    if gauss.f % 2:
         raise AssertionError("f is even whenever the mod-4 pattern is {1, 3}")
-    sq = p ** (f // 2)
-    ph0 = p**h0
+    sq = p ** (gauss.f // 2)
     P = p1 ** (m - 1)
     sign1 = -1 if p1 % 4 == 3 else 1
     sign2 = -1 if p2 % 4 == 3 else 1

@@ -125,6 +125,30 @@ def test_domain_error_exits_2(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("gauss-semiprimitive --p 2 --n 2 --f 2", "error: N must be at least 3, got 2\n"),
+        # the library names the CLI's --f by its own r
+        ("gauss-semiprimitive --p 2 --n 3 --f 0", "error: r must be >= 1, got 0\n"),
+        (
+            "verify-srg --p 4194301 --f 1 --n 10 --classes 0,5",
+            "error: period tally table would need 41943010 cells, cap is 33554432\n",
+        ),
+    ],
+)
+def test_domain_refusals_pinned(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (2, "", err)
+
+
+def test_build_field_refuses_a_non_integer_modulus(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["build-field", "--p", "2", "--f", "3", "--modulus", "1,x"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert captured.err.endswith("error: argument --modulus: expected comma separated integers, got '1,x'\n")
+
+
 def test_gauss_index2_two_primes_json(capsys):
     code, out, _ = run(
         capsys,
@@ -268,6 +292,8 @@ _GOLDEN = [
     ("periods --p 3 --f 2 --n 4 --tally --format json", 0, "3bda631183d02b7fd2dada0e9dd076da12681fc63a99be5f24a5dc490cf2d12a"),
     ("periods --p 3 --f 2 --n 4 --tally --format tsv", 0, "e3f223de4b75e6244a84626e9b9ded2f80e7155b481cc1831f8e2d9334582e9e"),
     ("periods --p 3 --f 2 --n 4 --tally --format pretty", 0, "b3709defed0664d5f0360cb5369a1947251cc082a27624479bb9fa274cb0703e"),
+    # irrational periods: the pretty line that prints the numeric value
+    ("periods --p 7 --f 1 --n 3 --format pretty", 0, "04af999645eb6b9a9a6fd93041e0da2e6b3fe096921c03c347fa0e5a84f128b2"),
     ("verify-srg --p 2 --f 4 --n 3 --classes 0 --format json", 0, "60a1eee6b0ef9499a25e2d3a530783483fcf98f261e6f4c46a85ca8c1f16175d"),
     ("verify-srg --p 2 --f 4 --n 3 --classes 0 --format tsv", 0, "1e047ae045d1139e5f41336b5733c65774db9400bc3c7a1ceee169925ee5f9b6"),
     ("verify-srg --p 2 --f 4 --n 3 --classes 0 --format pretty", 0, "db26c477ca5966ac91d801574b120cfd1accba843caa01faa977d9c0393ef966"),

@@ -208,6 +208,8 @@ def test_ring_errors():
         CyclotomicInteger(3, (0, 1)).to_int()
     with pytest.raises(ValueError, match="coefficients"):
         CyclotomicInteger(3, (1, 2, 3))
+    with pytest.raises(ValueError, match="need 3 exponent counts for p = 3"):
+        CyclotomicInteger.from_exponent_counts(3, (1, 2))
 
 
 # composites, and primes above SIZE_CAP up to 2^61 - 1, for which a (p - 1)-tuple cannot be allocated
@@ -372,6 +374,11 @@ def test_classify_errors():
         cm.connection_sums(())
     with pytest.raises(ValueError, match="lie in"):
         cm.connection_sums((5,))
+    # the one check of a union, public: distinct indices, sorted
+    assert cm.classes((4, np.int64(0), 4, 2)) == [0, 2, 4]
+    for bad in [(), (5,), (-1, 0)]:
+        with pytest.raises(ValueError, match="nonempty" if not bad else r"lie in \[0, 5\)"):
+            cm.classes(bad)
 
 
 @pytest.mark.parametrize("bad", [0.9, 5.0, "0"])

@@ -200,11 +200,22 @@ def test_verify_odd_characteristic_example():
     assert rep.oracle_agrees is None
 
 
-@pytest.mark.parametrize("name", sorted(NAMED_EXAMPLES))
-def test_oracle_agrees_on_every_named_example(name):
+# the index-2 SRGs inside the field cap that no named example covers; (3, 11)
+# fails pair_family_check with NOT_INDEX2, as 3^5 = 1 mod 121, but m = 1 needs
+# only the index-2 case modulo 11
+_UNNAMED_INDEX2_SRGS = [
+    family_search._example("index2_2_7_m1", 2, 7, None, 1),  # srg(8, 1, 0, 0)
+    family_search._example("index2_3_11_m1", 3, 11, None, 1),  # srg(243, 22, 1, 2)
+    family_search._example("index2_5_19_m1", 5, 19, None, 1),  # srg(5^9, 102796, 5379, 5412)
+]
+
+
+@pytest.mark.parametrize(
+    "ex", [NAMED_EXAMPLES[name] for name in sorted(NAMED_EXAMPLES)] + _UNNAMED_INDEX2_SRGS, ids=lambda ex: ex.name
+)
+def test_oracle_agrees_on_every_named_example(ex):
     # verify_named_example runs the oracle only for q <= _ORACLE_Q_CAP; here it runs on all seven,
-    # against the computed and the closed-form certificates
-    ex = NAMED_EXAMPLES[name]
+    # and on the unnamed index-2 SRGs, against the computed and the closed-form certificates
     cm = classify(build_field(ex.p, ex.f), ex.n)
     cert = srg_from_spectrum(ex.q, ex.k, cm.connection_sums(ex.classes), source="COMPUTED")
     oracle = difference_count_oracle(cm, ex.classes)

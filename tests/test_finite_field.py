@@ -193,6 +193,16 @@ def test_dlog_round_trip_and_addition():
                 assert fld.dlog(fld.mul(x, y)) == (fld.dlog(x) + fld.dlog(y)) % q1
 
 
+def test_zero_refuses_nonpositive_powers():
+    fld = get_field(2, 3)
+    assert fld.pow_element(0, 3) == 0
+    for e in (0, -1):
+        with pytest.raises(ValueError, match="nonpositive power"):
+            fld.pow_element(0, e)
+    with pytest.raises(ValueError, match="nonpositive power"):
+        fld.inv(0)
+
+
 def test_vector_arithmetic_matches_scalar():
     for p, f in [(2, 6), (3, 4), (5, 3)]:
         fld = get_field(p, f)

@@ -1,5 +1,6 @@
 """Orders, index-2 classification, class numbers, and exact Gauss sums."""
 
+import dataclasses
 import math
 import time
 
@@ -333,6 +334,19 @@ def test_prime_power_gauss_matches_numeric_f8():
     assert abs(abs(num) ** 2 - 8) < 1e-9
 
 
+def test_quadratic_value_checks_its_certificate():
+    good = index2_gauss_prime_power(2, 7, 1)  # (b, |c|) = (-1, 1) over F_8: 1 + 7 = 4 * 2
+    assert (good.b, good.c_abs, good.h) == (-1, 1, 1)
+    with pytest.raises(ValueError, match=r"b\^2 \+ delta c\^2 = 4 p\^h"):
+        dataclasses.replace(good, b=3)
+    with pytest.raises(ValueError, match=r"b\^2 \+ delta c\^2 = 4 p\^h"):
+        dataclasses.replace(good, h=2)
+    # the form holds, but p divides b and c: 2^2 + 7 * 2^2 = 4 * 2^3 and 3^2 + 11 * 3^2 = 4 * 3^3
+    for p, delta, h, b in [(2, 7, 3, 2), (3, 11, 3, 3)]:
+        with pytest.raises(ValueError, match="prime to p"):
+            QuadraticGaussValue(p=p, delta=delta, f=h, h=h, h0=0, b=b, c_abs=b)
+
+
 def test_conjugate_values_refuse_the_float_overflow():
     # h0 = 3601 overflowed float(p^h0); h0 of 384 digits formed p^h0 without end
     for args in [(2, 7, 5), (2, 999983, 64)]:
@@ -535,3 +549,6 @@ def test_numeric_error_bound_and_caps():
     for N in (0, -7):
         with pytest.raises(ValueError, match=f"N = {N} must be at least 1"):
             gauss_sum_numeric(fld, N, 0)
+    # q = 2^17 is past the cap
+    with pytest.raises(ValueError, match="q <= 65536"):
+        gauss_sum_numeric(get_field(2, 17), 3, 1)

@@ -15,7 +15,6 @@ from cyclosrg.ntheory import (
     prime_factors,
     primes_upto,
     reduce_order,
-    smallest_prime_factors,
 )
 from cyclosrg.family_search import pair_family_check
 
@@ -59,6 +58,12 @@ def test_number_theory_refuses_floats(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize("n", [0, -12])
+def test_factorize_refuses_nonpositive(n):
+    with pytest.raises(ValueError, match="positive integer"):
+        factorize(n)
+
+
 @pytest.mark.parametrize("n", [2, 7, 12, 91, 97, 10**12 + 39])
 def test_number_theory_accepts_numpy_integers(n):
     assert is_prime(np.int64(n)) == is_prime(n)
@@ -89,7 +94,7 @@ def test_public_number_theory_is_bounded_on_large_moduli(fn):
 
 
 def _reference_primes_upto(n):
-    # the byte-array sieve primes_upto used before it read the factor sieve
+    # a byte-array sieve of Eratosthenes, written independently of primes_upto
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)
@@ -103,13 +108,6 @@ def _reference_primes_upto(n):
 def test_primes_upto_matches_reference_sieve():
     for n in [*range(-3, 200), 4095, 4096, 19997, 20000]:
         assert primes_upto(n) == _reference_primes_upto(n), n
-
-
-def test_smallest_prime_factors_and_sieve_factorization():
-    spf = smallest_prime_factors(20000)
-    assert spf[:2].tolist() == [0, 1]
-    for n in range(2, 20001):
-        assert spf[n] == min(factorize(n)), n
 
 
 def test_reduce_order_matches_mult_order():

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclosrg import family_search, srg_engine
 from cyclosrg.cyclotomy import CyclotomicInteger, classify
+from cyclosrg.finite_field import SIZE_CAP, build_field
 from cyclosrg.family_search import (
     REASON_DIOPHANTINE_FAIL,
     REASON_MOD4_PATTERN,
@@ -26,7 +27,7 @@ from cyclosrg.family_search import (
     triple_family_check,
 )
 from cyclosrg.gauss_theory import mult_order
-from cyclosrg.ntheory import divisors, factorize, is_prime
+from cyclosrg.ntheory import divisors, euler_phi, factorize, is_prime, primes_upto
 from cyclosrg.srg_engine import (
     _difference_counts,
     certificates_agree,
@@ -100,6 +101,34 @@ def test_spectrum_mixed_orders_and_mixed_kinds():
         assert srg_from_spectrum(5, 2, vals) is None
     # a rational integer of another order is just an integer
     assert srg_from_spectrum(16, 5, [CyclotomicInteger.from_int(3, 1), CyclotomicInteger.from_int(7, -3)]).parameters() == (16, 5, 0, 2)
+
+
+# the Petersen graph srg(10, 3, 0, 1) with r, s = 1, -2 of multiplicities 5, 4,
+# and the pentagon srg(5, 2, 0, 1), a conference graph
+_PETERSEN = srg_engine.SrgCertificate(10, 3, 0, 1, 1, -2, 5, 4, "TEST", False, False)
+_PENTAGON = srg_engine.SrgCertificate(5, 2, 0, 1, None, None, 2, 2, "TEST", False, True)
+
+
+@pytest.mark.parametrize(
+    "base, changes, message",
+    [
+        (_PETERSEN, {"k": 0}, "k out of range"),
+        (_PETERSEN, {"k": 10}, "k out of range"),
+        (_PETERSEN, {"lam": 3}, "lambda or mu out of range"),
+        (_PETERSEN, {"mu": -1}, "lambda or mu out of range"),
+        (_PETERSEN, {"lam": 1}, "parameter identity"),
+        (_PETERSEN, {"degenerate": True}, "degenerate flag"),
+        (_PENTAGON, {"r": 1}, "carry no integer eigenvalues"),
+        (_PENTAGON, {"mult_r": 1, "mult_s": 3}, "conference multiplicities"),
+        (_PETERSEN, {"mult_s": None}, "need r, s and multiplicities"),
+        (_PETERSEN, {"r": -2, "s": 1}, "need r > s"),
+        (_PETERSEN, {"r": 2}, "eigenvalue identities"),
+        (_PETERSEN, {"mult_r": 6, "mult_s": 3}, "multiplicity identities"),
+    ],
+)
+def test_certificate_checks_each_identity(base, changes, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(base, **changes)
 
 
 def test_spectrum_input_validation():
@@ -270,8 +299,11 @@ def test_oracle_degenerate_and_none_cases():
 def test_oracle_rejects_directed_set():
     fld = get_field(7, 1)
     cm = classify(fld, 6)  # -C_0 = C_3
-    with pytest.raises(ValueError, match="not symmetric"):
-        difference_count_oracle(cm, (0,))
+    # the one refusal, word for word the one verify_union and verify-srg give
+    for call in (difference_count_oracle, lambda cm, D: srg_engine.verify_union(cm, D, "SPECTRUM", False)):
+        with pytest.raises(ValueError) as info:
+            call(cm, (0,))
+        assert str(info.value) == _DIRECTED
     cert = difference_count_oracle(cm, (0, 3))  # symmetric union is fine
     assert cert is None or cert.parameters()[0] == 7
 
@@ -358,17 +390,25 @@ def test_src_has_no_assert_statements():
     assert found == []
 
 
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def test_no_module_imports_private_names():
-    # every module reaches the others through their public names only
+    # every module reaches the others through their public names only: it
+    # imports no private name, and reads x._name only where x is self, cls
+    # or a class the module defines
     src = Path(__file__).resolve().parents[1] / "src" / "cyclosrg"
-    found = [
-        f"{path.name}:{alias.name}"
-        for path in sorted(src.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.ImportFrom) and node.level
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = {"self", "cls"} | {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}:{alias.name}" for alias in node.names if _is_private(alias.name)]
+            elif isinstance(node, ast.Attribute) and _is_private(node.attr):
+                if not (isinstance(node.value, ast.Name) and node.value.id in own):
+                    found.append(f"{path.name}:{node.lineno}:{node.attr}")
     assert found == []
 
 
@@ -638,13 +678,50 @@ def test_predictions_match_computed_spectra():
             sp = predicted_spectrum_two_primes(p, p1, p2, m)
             N = p1**m * p2
             D = tuple(i * p2 for i in range(p1 ** (m - 1)))
-        from cyclosrg.ntheory import euler_phi
-
         f = euler_phi(N) // 2
         fld = get_field(p, f)
         cm = classify(fld, N)
         computed = sorted({z.to_int() for z in cm.connection_sums(D)}, reverse=True)
         assert computed == sp.integer_values(), (p, p1, m, p2)
+
+
+def _index2_predictions_inside_the_field_cap():
+    """Every prediction that predicted_spectrum_* accepts with p^f <= SIZE_CAP.
+
+    f = phi(N)/2 <= 22 bounds p1 and p2 by 47 and m by 2, and f >= 3 bounds p by 2^(22/3) < 162.
+    """
+    found = []
+    for p1 in primes_upto(47):
+        for p2 in [None, *primes_upto(47)]:
+            for m in (1, 2, 3):
+                f = euler_phi(p1**m * (p2 or 1)) // 2
+                for p in primes_upto(161):
+                    if p**f > SIZE_CAP:
+                        break
+                    try:
+                        found.append(
+                            predicted_spectrum_prime_power(p, p1, m)
+                            if p2 is None
+                            else predicted_spectrum_two_primes(p, p1, p2, m)
+                        )
+                    except ValueError:
+                        pass
+    return found
+
+
+def test_index2_predictions_meet_the_exact_route_inside_the_field_cap():
+    # the paper's union over each field: every exact sum is a candidate, and both certificates agree
+    predictions = _index2_predictions_inside_the_field_cap()
+    srgs = 0
+    for sp in predictions:
+        cm = classify(build_field(sp.p, sp.gauss.f), sp.N)
+        D = [(sp.p2 or 1) * i for i in range(sp.p1 ** (sp.m - 1))]
+        distinct, cert, _ = srg_engine.verify_union(cm, D, "SPECTRUM", oracle=False)
+        key = (sp.p, sp.p1, sp.p2, sp.m)
+        assert {z.to_int() for z in distinct} <= {val for _, val in sp.values}, key
+        assert certificates_agree(cert, sp.certificate()), key
+        srgs += cert is not None
+    assert (len(predictions), srgs) == (32, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ import numpy as np
 
 from .cyclotomy import classify
 from .finite_field import build_field
-from .gauss_theory import class_number, mult_order, reduced_form_counts
-from .ntheory import euler_phi, is_prime, prime_factors, primes_upto, reduce_order
+from .gauss_theory import class_number, classify_index2, mult_order, reduced_form_counts
+from .ntheory import is_prime, prime_factors, primes_upto, reduce_order
 from .srg_engine import (
     PredictedSpectrum,
     SrgCertificate,
@@ -359,7 +359,7 @@ class NamedExample:
 
 def _example(name: str, p: int, p1: int, p2: int | None, m: int) -> NamedExample:
     n = p1**m * (p2 or 1)
-    f = euler_phi(n) // 2
+    f = classify_index2(p, n).order
     return NamedExample(name, p, p1, p2, m, f, n, tuple((p2 or 1) * i for i in range(p1 ** (m - 1))))
 
 

@@ -4,8 +4,8 @@ For a multiplicative character chi of order N on F_q, q = p^f, the Gauss sum
 is g(chi) = sum over a in F_q* of chi(a) psi(a).  Two families admit closed
 forms used here:
 
-* semi-primitive: some power p^t is -1 mod N; then p^{-r/2} g(chi) = +-1
-  with an explicit sign, for any r = 2ts.
+* semi-primitive: some power p^t is -1 mod N; then p^{-f/2} g(chi) = +-1
+  with an explicit sign, for any f = 2ts.
 
 * index 2: the subgroup <p> has index 2 in (Z/NZ)* and -1 is not in <p>.
   For N odd this forces N = p1^m or N = p1^m p2^n.  The sum then lives in
@@ -19,7 +19,8 @@ forms used here:
   (it depends on the choice of sqrt(-delta)).  (b, c) comes from
   Cornacchia's algorithm, in time polynomial in log p^h: square roots of
   -delta modulo 4 p^h give the solutions with gcd(b, c) = 1, and for odd p
-  those modulo p^h, doubled, give the ones with gcd(b, c) = 2.
+  those modulo p^h, doubled, give the ones with gcd(b, c) = 2.  The two
+  shapes share one builder for these steps and check their own inputs.
 
 Exponents and sizes are capped (INDEX2_EXPONENT_CAP, QUADRATIC_FORM_BITS_CAP,
 SEMIPRIMITIVE_BITS_CAP, CLASS_NUMBER_CAP) with a ValueError before the work
@@ -56,8 +57,8 @@ INDEX2_EXPONENT_CAP = 64
 # is capped at 2^14 bits, counted as h times the bit length of p; the slowest
 # solve inside the cap, p = 2 and h = 8192 (bit-by-bit 2-adic lift), took 0.7 s
 QUADRATIC_FORM_BITS_CAP = 1 << 14
-# semi-primitive sums print p^{r/2} in full: capped at 2^16 bits, counted as
-# r/2 times the bit length of p; gauss-semiprimitive --p 3 --n 4 --f 65536,
+# semi-primitive sums print p^{f/2} in full: capped at 2^16 bits, counted as
+# f/2 times the bit length of p; gauss-semiprimitive --p 3 --n 4 --f 65536,
 # the largest value inside the cap, took 0.02 s
 SEMIPRIMITIVE_BITS_CAP = 1 << 16
 
@@ -236,37 +237,37 @@ def reduced_form_counts(n_max: int) -> np.ndarray:
     return counts
 
 
-def semiprimitive_gauss(p: int, N: int, r: int) -> SemiprimitiveGauss:
-    """Evaluate g(chi) over F_{p^r} for chi of order N in the semi-primitive case.
+def semiprimitive_gauss(p: int, N: int, f: int) -> SemiprimitiveGauss:
+    """Evaluate g(chi) over F_{p^f} for chi of order N in the semi-primitive case.
 
-    Requires the least t with p^t = -1 mod N to exist and r = 2ts.  Then
-    p^{-r/2} g(chi) is (-1)^{s-1} for p = 2 and (-1)^{s-1 + (p^t+1)s/N}
-    for odd p.  The order 2t of p modulo N divides r, so it comes from the
-    factors of r, and N is never factored.
+    Requires the least t with p^t = -1 mod N to exist and f = 2ts.  Then
+    p^{-f/2} g(chi) is (-1)^{s-1} for p = 2 and (-1)^{s-1 + (p^t+1)s/N}
+    for odd p.  The order 2t of p modulo N divides f, so it comes from the
+    factors of f, and N is never factored.  The result stores f as r.
     """
-    p, N, r = operator.index(p), operator.index(N), operator.index(r)
+    p, N, f = operator.index(p), operator.index(N), operator.index(f)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if N <= 2:
         raise ValueError(f"N must be at least 3, got {N}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if r // 2 * p.bit_length() > SEMIPRIMITIVE_BITS_CAP:
-        raise ValueError(f"p^(r/2) = {p}^{r // 2} exceeds the cap of {SEMIPRIMITIVE_BITS_CAP} bits")
+    if f < 1:
+        raise ValueError(f"f must be >= 1, got {f}")
+    if f // 2 * p.bit_length() > SEMIPRIMITIVE_BITS_CAP:
+        raise ValueError(f"p^(f/2) = {p}^{f // 2} exceeds the cap of {SEMIPRIMITIVE_BITS_CAP} bits")
     if math.gcd(p, N) != 1:
         raise ValueError(f"p = {p} and N = {N} are not coprime")
-    if pow(p, r, N) != 1:
-        raise ValueError(f"r = {r} is not a multiple of the order of {p} modulo {N}")
-    order = reduce_order(p, N, r, factorize(r))
+    if pow(p, f, N) != 1:
+        raise ValueError(f"f = {f} is not a multiple of the order of {p} modulo {N}")
+    order = reduce_order(p, N, f, factorize(f))
     if order % 2 or pow(p, order // 2, N) != N - 1:
         raise ValueError(f"no power of {p} is -1 modulo {N}")
     t = order // 2
-    s = r // order
+    s = f // order
     if p == 2:
         exponent = s - 1
     else:
         exponent = (s - 1) + (p**t + 1) // N * s
-    return SemiprimitiveGauss(p, N, r, t, s, -1 if exponent % 2 else 1)
+    return SemiprimitiveGauss(p, N, f, t, s, -1 if exponent % 2 else 1)
 
 
 def _sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
@@ -356,13 +357,6 @@ def _solve_quadratic_form(p: int, delta: int, h: int) -> list[tuple[int, int]]:
     return sorted(found, key=lambda bc: bc[1])
 
 
-def _check_exponent(m: int) -> None:
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m > INDEX2_EXPONENT_CAP:
-        raise ValueError(f"m = {m} exceeds the cap {INDEX2_EXPONENT_CAP}")
-
-
 def index2_gauss_prime_power(p: int, p1: int, m: int) -> QuadraticGaussValue:
     """Exact Gauss sum for chi of order N = p1^m, p1 = 3 mod 4, p1 > 3.
 
@@ -376,17 +370,8 @@ def index2_gauss_prime_power(p: int, p1: int, m: int) -> QuadraticGaussValue:
         raise ValueError(f"p1 must exceed 3, got {p1}")
     if p1 % 4 != 3:
         raise ValueError(f"p1 must be 3 mod 4, got {p1}")
-    _check_exponent(m)
-    h = class_number(p1)
-    case = _classify_index2(p, p1**m, {p1: m})
-    if case.tag is not Index2Kind.PRIME_POWER:
-        raise ValueError(f"<{p}> does not have index 2 without -1 modulo {p1}**{m} (got {case.tag.value})")
-    f = case.order
-    if (f - h) % 2:
-        raise ValueError("f - h is odd, no integral h0 exists")
-    h0 = (f - h) // 2
-    ph0 = pow(p, h0, p1)
-    return _pinned_value(p, p1, f, h, h0, lambda b: (b * ph0 + 2) % p1 == 0)
+    refusal = "<{p}> does not have index 2 without -1 modulo {p1}**{m} (got {tag})"
+    return _index2_gauss(p, p1, {p1: m}, Index2Kind.PRIME_POWER, refusal, lambda h, h0: (p1, -2 * pow(p, -h0, p1)))
 
 
 def index2_gauss_two_primes(p: int, p1: int, p2: int, m: int) -> QuadraticGaussValue:
@@ -404,27 +389,35 @@ def index2_gauss_two_primes(p: int, p1: int, p2: int, m: int) -> QuadraticGaussV
         raise ValueError("p1 and p2 must be distinct")
     if {p1 % 4, p2 % 4} != {1, 3}:
         raise ValueError(f"need one prime 1 mod 4 and one 3 mod 4, got {p1}, {p2}")
-    _check_exponent(m)
-    delta = p1 * p2
-    h = class_number(delta)
-    N = p1**m * p2
+    ell = p1 if p1 % 4 == 3 else p2
+    refusal = "<{p}> modulo {N} is not the two-prime index-2 case (got {tag})"
     # the mixed case is full order modulo both p1^m and p2
-    case = _classify_index2(p, N, {p1: m, p2: 1})
-    if case.tag is not Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX:
-        raise ValueError(f"<{p}> modulo {N} is not the two-prime index-2 case (got {case.tag.value})")
+    kind = Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX
+    return _index2_gauss(p, p1 * p2, {p1: m, p2: 1}, kind, refusal, lambda h, h0: (ell, 2 * pow(p, h // 2, ell)))
+
+
+def _index2_gauss(p: int, delta: int, fac: dict[int, int], kind: Index2Kind, refusal: str, pin) -> QuadraticGaussValue:
+    """The value for N = prod l^e over fac = {p1: m, ...}, refused unless N is of kind.
+
+    pin(h, h0) = (ell, want) signs b by b = want mod ell; refusal is formatted with p, p1, m, N and tag.
+    """
+    p1, m = next(iter(fac.items()))
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if m > INDEX2_EXPONENT_CAP:
+        raise ValueError(f"m = {m} exceeds the cap {INDEX2_EXPONENT_CAP}")
+    h = class_number(delta)
+    N = math.prod(l**e for l, e in fac.items())
+    case = _classify_index2(p, N, fac)
+    if case.tag is not kind:
+        raise ValueError(refusal.format(p=p, p1=p1, m=m, N=N, tag=case.tag.value))
     f = case.order
-    # 8 divides (p1 - 1)(p2 - 1), so 4 divides f and this also refuses an odd h
+    # f and h(-p1) are odd for N = p1^m; for N = p1^m p2, 8 | (p1 - 1)(p2 - 1) gives 4 | f, and h is even
     if (f - h) % 2:
         raise ValueError("f - h is odd, no integral h0 exists")
     h0 = (f - h) // 2
-    ell = p1 if p1 % 4 == 3 else p2
-    want = 2 * pow(p, h // 2, ell) % ell
-    return _pinned_value(p, delta, f, h, h0, lambda b: (b - want) % ell == 0)
-
-
-def _pinned_value(p: int, delta: int, f: int, h: int, h0: int, pins) -> QuadraticGaussValue:
-    """The Gauss value whose signed b, over the solutions (|b|, |c|) for p^h, is the one pins accepts."""
-    pinned = [(sb * b, c) for b, c in _solve_quadratic_form(p, delta, h) for sb in (1, -1) if pins(sb * b)]
+    ell, want = pin(h, h0)
+    pinned = [(sb * b, c) for b, c in _solve_quadratic_form(p, delta, h) for sb in (1, -1) if (sb * b - want) % ell == 0]
     if len(pinned) != 1:
         raise ArithmeticError(f"sign resolution found {len(pinned)} candidates, expected exactly 1")
     b, c = pinned[0]

@@ -393,8 +393,7 @@ def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> Predicted
     gauss = index2_gauss_two_primes(p, p1, p2, m)
     b, c, ph0 = _capped_terms(gauss)
     N = p1**m * p2
-    if gauss.f % 2:
-        raise AssertionError("f is even whenever the mod-4 pattern is {1, 3}")
+    # f is even: the mod-4 pattern {1, 3} makes 8 divide (p1 - 1)(p2 - 1), so 4 divides f
     sq = p ** (gauss.f // 2)
     P = p1 ** (m - 1)
     sign1 = -1 if p1 % 4 == 3 else 1

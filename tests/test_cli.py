@@ -129,8 +129,39 @@ def test_domain_error_exits_2(capsys):
     "argv, err",
     [
         ("gauss-semiprimitive --p 2 --n 2 --f 2", "error: N must be at least 3, got 2\n"),
-        # the library names the CLI's --f by its own r
-        ("gauss-semiprimitive --p 2 --n 3 --f 0", "error: r must be >= 1, got 0\n"),
+        # the degree refusals name the CLI's --f
+        ("gauss-semiprimitive --p 2 --n 3 --f 0", "error: f must be >= 1, got 0\n"),
+        ("gauss-semiprimitive --p 2 --n 3 --f 200000", "error: p^(f/2) = 2^100000 exceeds the cap of 65536 bits\n"),
+        ("gauss-semiprimitive --p 2 --n 5 --f 6", "error: f = 6 is not a multiple of the order of 2 modulo 5\n"),
+        ("gauss-index2 --p 4 --p1 7 --m 1", "error: p and p1 must be prime\n"),
+        ("gauss-index2 --p 2 --p1 9 --m 1", "error: p and p1 must be prime\n"),
+        ("gauss-index2 --p 2 --p1 3 --p2 9 --m 1", "error: p, p1, p2 must all be prime\n"),
+        ("gauss-index2 --p 2 --p1 3 --m 1", "error: p1 must exceed 3, got 3\n"),
+        ("gauss-index2 --p 2 --p1 5 --m 1", "error: p1 must be 3 mod 4, got 5\n"),
+        ("gauss-index2 --p 2 --p1 3 --p2 3 --m 1", "error: p1 and p2 must be distinct\n"),
+        ("gauss-index2 --p 2 --p1 3 --p2 7 --m 1", "error: need one prime 1 mod 4 and one 3 mod 4, got 3, 7\n"),
+        ("gauss-index2 --p 2 --p1 7 --m 0", "error: m must be >= 1, got 0\n"),
+        ("gauss-index2 --p 2 --p1 7 --m 65", "error: m = 65 exceeds the cap 64\n"),
+        ("gauss-index2 --p 2 --p1 3 --p2 5 --m 0", "error: m must be >= 1, got 0\n"),
+        ("gauss-index2 --p 2 --p1 3 --p2 5 --m 65", "error: m = 65 exceeds the cap 64\n"),
+        ("gauss-index2 --p 7 --p1 7 --m 1", "error: p = 7 and N = 7 are not coprime\n"),
+        ("gauss-index2 --p 5 --p1 3 --p2 5 --m 1", "error: p = 5 and N = 15 are not coprime\n"),
+        (
+            "gauss-index2 --p 2 --p1 11 --m 1",
+            "error: <2> does not have index 2 without -1 modulo 11**1 (got NOT_INDEX2)\n",
+        ),
+        (
+            "gauss-index2 --p 2 --p1 3 --p2 17 --m 1",
+            "error: <2> modulo 51 is not the two-prime index-2 case (got NOT_INDEX2)\n",
+        ),
+        (
+            "gauss-index2 --p 2 --p1 5 --p2 7 --m 1",
+            "error: <2> modulo 35 is not the two-prime index-2 case (got TWO_PRIMES_HALF_ORDER)\n",
+        ),
+        # the exponent cap is checked before the class-number cap
+        ("gauss-index2 --p 2 --p1 1000003 --m 65", "error: m = 65 exceeds the cap 64\n"),
+        ("gauss-index2 --p 2 --p1 1000003 --m 1", "error: d = 1000003 exceeds the cap 1000000\n"),
+        ("gauss-index2 --p 2 --p1 1000003 --p2 5 --m 1", "error: d = 5000015 exceeds the cap 1000000\n"),
         (
             "verify-srg --p 4194301 --f 1 --n 10 --classes 0,5",
             "error: period tally table would need 41943010 cells, cap is 33554432\n",

@@ -42,6 +42,7 @@ def test_named_registry_consistency():
         expected_n = ex.p1**ex.m * (1 if ex.p2 is None else ex.p2)
         assert ex.n == expected_n
         assert ex.f == euler_phi(ex.n) // 2
+        assert ex.f == ex.predicted().gauss.f
         assert ex.q == ex.p**ex.f
         step = 1 if ex.p2 is None else ex.p2
         assert ex.classes == tuple(step * i for i in range(ex.p1 ** (ex.m - 1)))

@@ -44,6 +44,9 @@ from .finite_field import SIZE_CAP, FieldTable
 from .ntheory import is_prime
 
 _TALLY_CELL_CAP = 1 << 25
+# connection_sums adds |D| slices of N x p cells; the worst case this admits,
+# 128 classes at q = 2^22 with N = q - 1, took 1.6-1.8 s on a 2-vCPU VM
+_CONNECTION_CELL_CAP = 1 << 30
 # a doubling step of the power tables costs about as much as filling this
 # many more elements (BENCH_19.json, "step_cost")
 _STEP_COST = 1 << 14
@@ -280,6 +283,9 @@ class ClassMap:
     def connection_sums(self, D) -> list[CyclotomicInteger]:
         """psi(gamma^a D) = sum over i in D of eta_{(a+i) mod N}, for a = 0..N-1."""
         d = self.classes(D)
+        cells = len(d) * self.N * self.field.p
+        if cells > _CONNECTION_CELL_CAP:
+            raise ValueError(f"connection sums would add {cells} cells, cap is {_CONNECTION_CELL_CAP}")
         # rows i .. i+N-1 of the doubled tally are the periods shifted by i
         doubled = np.concatenate((self.tally, self.tally))
         acc = np.zeros_like(self.tally)

@@ -2,17 +2,19 @@
 
 A pair (p, p1) or triple (p, p1, p2) passing the family criterion gives a
 strongly regular Cayley graph over F_{p^f} for every exponent m >= 1 of p1
-in the class count N.  pair_family_check and triple_family_check test one
-candidate, and the scans every candidate inside a bound box; both hand the
-same reasons functions the integers they test (h and the orders of p), and
-report hits with full witnesses and misses with reason codes, so an empty
-region is as auditable as a hit.  The named
-examples pin the handful of instances small enough to verify end to end on
-a desk machine.
+in the class count N.  The two shapes differ only in their reasons and hit
+functions: one check serves pair_family_check and triple_family_check, and
+one scan, over a candidate list built once, serves scan_pairs and
+scan_triples.  Both hand the reasons the integers they test (h and the
+orders of p) and report hits with full witnesses and misses with reason
+codes, so an empty region is as auditable as a hit.  The named examples
+pin the handful of instances small enough to verify end to end on a desk
+machine.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -133,8 +135,22 @@ def _screen(*ns: int) -> tuple[str, ...]:
     return () if len(set(ns)) == len(ns) else (REASON_NOT_COPRIME,)
 
 
-def _pair_reasons(p: int, p1: int, h: int, order: int) -> tuple[str, ...]:
-    """The pair criterion's failing checks, in order, for distinct primes, h = h(Q(sqrt(-p1))) and order = ord_p1(p)."""
+def _check(p: int, ells: tuple[int, ...], reasons_of, hit) -> FamilyCheck:
+    """The family check of one candidate (p, *ells) under the shape's reasons_of and hit."""
+    p, ells = operator.index(p), tuple(map(operator.index, ells))
+    p1, p2 = (*ells, None)[:2]
+    reasons = _screen(p, *ells)
+    if reasons:
+        return FamilyCheck(p, p1, p2, reasons)
+    h = class_number(math.prod(ells))  # refuses a product beyond CLASS_NUMBER_CAP before any order is found
+    reasons = reasons_of(p, ells, h, {ell: mult_order(p, ell) for ell in ells})
+    return FamilyCheck(p, p1, p2, reasons, h=h) if reasons else hit(p, ells, h)
+
+
+def _pair_reasons(p: int, ells: tuple[int], h: int, orders: dict[int, int]) -> tuple[str, ...]:
+    """The pair criterion's failing checks, in order, for distinct primes, h = h(Q(sqrt(-p1))), orders[p1] = ord_p1(p)."""
+    (p1,) = ells
+    order = orders[p1]
     reasons: list[str] = []
     if p1 <= 3:
         reasons.append(REASON_P1_TOO_SMALL)
@@ -148,7 +164,8 @@ def _pair_reasons(p: int, p1: int, h: int, order: int) -> tuple[str, ...]:
     return tuple(reasons)
 
 
-def _pair_hit(p: int, p1: int, h: int) -> FamilyCheck:
+def _pair_hit(p: int, ells: tuple[int], h: int) -> FamilyCheck:
+    (p1,) = ells
     b = 1 if p1 % 8 == 3 else -1
     a_r = (p1 - 1) // 2 if b == 1 else (p1 + 1) // 2
     a_s = -((p1 + 1) // 2) if b == 1 else -((p1 - 1) // 2)
@@ -163,19 +180,15 @@ def pair_family_check(p: int, p1: int) -> FamilyCheck:
     h = h(Q(sqrt(-p1))).  Then b, c = +-1 and the spectrum is two-valued
     for every m.
     """
-    p, p1 = operator.index(p), operator.index(p1)
-    reasons = _screen(p, p1)
-    if reasons:
-        return FamilyCheck(p, p1, None, reasons)
-    h = class_number(p1)  # refuses p1 beyond CLASS_NUMBER_CAP before any order is found
-    reasons = _pair_reasons(p, p1, h, mult_order(p, p1))
-    return FamilyCheck(p, p1, None, reasons, h=h) if reasons else _pair_hit(p, p1, h)
+    return _check(p, (p1,), _pair_reasons, _pair_hit)
 
 
-def _triple_reasons(p: int, p1: int, p2: int, h: int, o1: int, o2: int) -> tuple[str, ...]:
-    """The triple criterion's failing checks, in order, for distinct primes, h = h(Q(sqrt(-p1 p2))), oi = ord_pi(p)."""
+def _triple_reasons(p: int, ells: tuple[int, int], h: int, orders: dict[int, int]) -> tuple[str, ...]:
+    """The triple criterion's failing checks, in order, for distinct primes, h = h(Q(sqrt(-p1 p2))), orders[pi] = ord_pi(p)."""
+    p1, p2 = ells
     if h % 2:
         raise AssertionError(f"h(Q(sqrt(-{p1 * p2}))) = {h} is odd, against genus theory")
+    o1, o2 = orders[p1], orders[p2]
     reasons: list[str] = []
     if {p1 % 4, p2 % 4} != {1, 3}:
         reasons.append(REASON_MOD4_PATTERN)
@@ -189,7 +202,8 @@ def _triple_reasons(p: int, p1: int, p2: int, h: int, o1: int, o2: int) -> tuple
     return tuple(reasons)
 
 
-def _triple_hit(p: int, p1: int, p2: int, h: int) -> FamilyCheck:
+def _triple_hit(p: int, ells: tuple[int, int], h: int) -> FamilyCheck:
+    p1, p2 = ells
     b = (-1 if p1 % 4 == 3 else 1) * (p1 - 2 * p ** (h // 2))
     return _family_hit(p, p1, p2, h, b, (b + p1 * p2) // 2, (b - p1 * p2) // 2)
 
@@ -203,13 +217,7 @@ def triple_family_check(p: int, p1: int, p2: int) -> FamilyCheck:
     p1 p2 = (R - 1)(R + 1) with R = 2 p^{h/2} >= 4 forces {p1, p2} = {R - 1, R + 1},
     so b = e (p1 - R) = +-1 with e = (-1)^{(p1-1)/2}.
     """
-    p, p1, p2 = operator.index(p), operator.index(p1), operator.index(p2)
-    reasons = _screen(p, p1, p2)
-    if reasons:
-        return FamilyCheck(p, p1, p2, reasons)
-    h = class_number(p1 * p2)  # refuses p1 p2 beyond CLASS_NUMBER_CAP before any order is found
-    reasons = _triple_reasons(p, p1, p2, h, mult_order(p, p1), mult_order(p, p2))
-    return FamilyCheck(p, p1, p2, reasons, h=h) if reasons else _triple_hit(p, p1, p2, h)
+    return _check(p, (p1, p2), _triple_reasons, _triple_hit)
 
 
 # ---------------------------------------------------------------------------
@@ -274,53 +282,43 @@ def _orders(p: int, factors: dict[int, list[int]]) -> dict[int, int]:
     return {ell: reduce_order(p, ell, ell - 1, primes) for ell, primes in factors.items() if ell != p}
 
 
-def scan_pairs(p_max: int, p1_max: int) -> SearchReport:
-    """Test every prime pair (p <= p_max, p1 <= p1_max) for the criterion."""
-    _check_scan_bounds(p_max, p1_max)
-    class_numbers = _class_numbers(p1_max)
-    factors = {p1: prime_factors(p1 - 1) for p1 in primes_upto(p1_max)}
+def _scan(kind: str, p_max: int, n_max: int, candidates, reasons_of, hit) -> SearchReport:
+    """Every prime p <= p_max against every tuple of ells in candidates(n_max), each with product <= n_max.
+
+    The list is built once, each ell - 1 factored once and the orders of p
+    found once per p; h is read off one count of reduced forms.
+    """
+    _check_scan_bounds(p_max, n_max)
+    class_numbers = _class_numbers(n_max)
+    cands = [(ells, class_numbers[math.prod(ells)]) for ells in candidates(n_max)]
+    factors = {ell: prime_factors(ell - 1) for ell in {ell for ells, _ in cands for ell in ells}}
     hits: list[FamilyCheck] = []
     rejections: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
     for p in primes_upto(p_max):
         orders = _orders(p, factors)
-        for p1 in factors:
-            if p == p1:
-                reasons = (REASON_NOT_COPRIME,)
-            else:
-                h = class_numbers[p1]
-                reasons = _pair_reasons(p, p1, h, orders[p1])
+        for ells, h in cands:
+            reasons = (REASON_NOT_COPRIME,) if p in ells else reasons_of(p, ells, h, orders)
             if reasons:
-                rejections.append(((p, p1), reasons))
+                rejections.append(((p,) + ells, reasons))
             else:
-                hits.append(_pair_hit(p, p1, h))
-    return SearchReport("pairs", (p_max, p1_max), tuple(hits), tuple(rejections))
+                hits.append(hit(p, ells, h))
+    return SearchReport(kind, (p_max, n_max), tuple(hits), tuple(rejections))
+
+
+def scan_pairs(p_max: int, p1_max: int) -> SearchReport:
+    """Test every prime pair (p <= p_max, p1 <= p1_max) for the criterion."""
+    return _scan("pairs", p_max, p1_max, lambda n: [(p1,) for p1 in primes_upto(n)], _pair_reasons, _pair_hit)
+
+
+def _triple_candidates(n_max: int) -> list[tuple[int, int]]:
+    """Every (p1, p2) of distinct primes with p1 p2 <= n_max, p1 then p2 ascending."""
+    ells = primes_upto(n_max // 2)
+    return [(p1, p2) for p1 in ells for p2 in ells[: bisect.bisect_right(ells, n_max // p1)] if p2 != p1]
 
 
 def scan_triples(p_max: int, n_max: int) -> SearchReport:
     """Test every ordered triple with p <= p_max and p1 * p2 <= n_max."""
-    _check_scan_bounds(p_max, n_max)
-    class_numbers = _class_numbers(n_max)
-    factors = {ell: prime_factors(ell - 1) for ell in primes_upto(n_max // 2)}
-    hits: list[FamilyCheck] = []
-    rejections: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
-    for p in primes_upto(p_max):
-        orders = _orders(p, factors)
-        for p1 in factors:
-            for p2 in factors:
-                if p1 * p2 > n_max:
-                    break
-                if p1 == p2:
-                    continue
-                if p in (p1, p2):
-                    reasons = (REASON_NOT_COPRIME,)
-                else:
-                    h = class_numbers[p1 * p2]
-                    reasons = _triple_reasons(p, p1, p2, h, orders[p1], orders[p2])
-                if reasons:
-                    rejections.append(((p, p1, p2), reasons))
-                else:
-                    hits.append(_triple_hit(p, p1, p2, h))
-    return SearchReport("triples", (p_max, n_max), tuple(hits), tuple(rejections))
+    return _scan("triples", p_max, n_max, _triple_candidates, _triple_reasons, _triple_hit)
 
 
 # ---------------------------------------------------------------------------

@@ -177,20 +177,14 @@ def _classify_index2(p: int, N: int, fac: dict[int, int] | None) -> Index2Case:
         return Index2Case(Index2Kind.PRIME_POWER, order, p1=p1, m=m)
     if len(fac) != 2:
         raise AssertionError("index 2 with three or more odd primes is impossible")
-    (l1, e1), (l2, e2) = fac
-    full1, full2 = orders[0] == phis[0], orders[1] == phis[1]
-    if full1 and full2:
-        # the repeated prime plays the structural role; ties break small
-        if (-e1, l1) <= (-e2, l2):
-            p1, m, p2, n = l1, e1, l2, e2
-        else:
-            p1, m, p2, n = l2, e2, l1, e1
+    # p1 is the component of full order; when both are, the repeated prime, and ties break small
+    ((p1, m), o1, phi1), ((p2, n), o2, phi2) = sorted(
+        zip(fac, orders, phis), key=lambda c: (c[1] != c[2], -c[0][1], c[0][0])
+    )
+    if o1 == phi1 and o2 == phi2:
         return Index2Case(Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX, order, p1=p1, m=m, p2=p2, n=n)
-    half1, half2 = 2 * orders[0] == phis[0], 2 * orders[1] == phis[1]
-    if full1 and half2:
-        return Index2Case(Index2Kind.TWO_PRIMES_HALF_ORDER, order, p1=l1, m=e1, p2=l2, n=e2)
-    if full2 and half1:
-        return Index2Case(Index2Kind.TWO_PRIMES_HALF_ORDER, order, p1=l2, m=e2, p2=l1, n=e1)
+    if o1 == phi1 and 2 * o2 == phi2:
+        return Index2Case(Index2Kind.TWO_PRIMES_HALF_ORDER, order, p1=p1, m=m, p2=p2, n=n)
     raise AssertionError("index 2 component orders do not fit any known case")
 
 

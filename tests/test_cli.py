@@ -172,6 +172,12 @@ def test_domain_refusals_pinned(capsys, argv, err):
     assert run(capsys, *argv.split()) == (2, "", err)
 
 
+def test_verify_srg_refuses_past_the_connection_cell_cap(capsys):
+    classes = ",".join(map(str, range(20000)))
+    argv = ["verify-srg", "--p", "2", "--f", "16", "--n", "65535", "--classes", classes, "--format", "json"]
+    assert run(capsys, *argv) == (2, "", "error: connection sums would add 2621400000 cells, cap is 1073741824\n")
+
+
 def test_build_field_refuses_a_non_integer_modulus(capsys):
     with pytest.raises(SystemExit) as info:
         main(["build-field", "--p", "2", "--f", "3", "--modulus", "1,x"])
@@ -384,6 +390,18 @@ _GOLDEN = [
     ("scan-pairs --p-max 10 --p1-max 110 --format pretty", 0, "8fff42893280a8548b5183b490a8f923989f8bed7d8260cb79e86a5eaf1e45b0"),
     # pins the bytes of the 43423-digit witnesses of (5, 499)
     ("scan-pairs --p-max 50 --p1-max 500 --format json", 0, "f0972464592250b148b3aecfa74ade14fcba447c6ee1c1d0e4b66dbddd4bd107"),
+    # the other scan boxes of the closed-forms benchmark, in every format
+    ("scan-pairs --p-max 50 --p1-max 500 --format tsv", 0, "0a3bb5f612631d973cb05d73b54d65281b939eeedd72efaa8bc914a78d2c2f34"),
+    ("scan-pairs --p-max 50 --p1-max 500 --format pretty", 0, "afc732da252ce03673141be6c076995b012c733e9858afa9d002daae0b05fcb0"),
+    ("scan-pairs --p-max 60 --p1-max 600 --format json", 0, "6b7baab601d013c3046dbb0ae1f41c9a303b5a97641d68810a7b2444411deb66"),
+    ("scan-pairs --p-max 60 --p1-max 600 --format tsv", 0, "0a3bb5f612631d973cb05d73b54d65281b939eeedd72efaa8bc914a78d2c2f34"),
+    ("scan-pairs --p-max 60 --p1-max 600 --format pretty", 0, "9f13700239687fbe6f26fa4cb7745fd41221470f9c1aa196a8c3fac23825d98f"),
+    ("scan-triples --p-max 5 --n-max 400 --format json", 0, "4d21a83896559bc7c6c2239652af708c44da9f17d2803b46e1aece56caf58e13"),
+    ("scan-triples --p-max 5 --n-max 400 --format tsv", 0, "30f803dbb6ca568caaf571481904caa23ee931feb33e70ff683f7193f5508a0d"),
+    ("scan-triples --p-max 5 --n-max 400 --format pretty", 0, "6b901a2f23ff3e832560b85c22eb920f394c7ac7c2d4c456bcd2df2f813b8700"),
+    ("scan-triples --p-max 20 --n-max 2000 --format json", 0, "fbcebccaa752643a1d0829f64792f06497a29c16216f90e0fd20b0b81848019c"),
+    ("scan-triples --p-max 20 --n-max 2000 --format tsv", 0, "30f803dbb6ca568caaf571481904caa23ee931feb33e70ff683f7193f5508a0d"),
+    ("scan-triples --p-max 20 --n-max 2000 --format pretty", 0, "53db410b1882aa0e68869b17e2611e3bcfc9e4fae3e974ca1de90782e140c7f6"),
     ("scan-triples --p-max 3 --n-max 40 --format json", 0, "c4233540bda900b97b1d3c65d643ab656af56960f84cf9d71e16c053327f9f0b"),
     ("scan-triples --p-max 3 --n-max 40 --format tsv", 0, "964b57103013bf1556f9e5ce7b5d392b46b2cbfce648f10d0136bbf5db8e1b34"),
     ("scan-triples --p-max 3 --n-max 40 --format pretty", 0, "8860328db95183091a53df3b11a7edbfb717de368d7dcc670a274cbb6a6ef728"),

@@ -356,6 +356,14 @@ def test_connection_sums_brute_force_match():
             assert CyclotomicInteger.from_exponent_counts(p, counts) == sums[a]
 
 
+def test_connection_sums_refuse_past_the_cell_cap():
+    # 20000 of the 65535 classes over F_{2^16} would add 20000 * 65535 * 2 > 2^30 cells
+    cm = classify(build_field(2, 16), 65535)
+    with pytest.raises(ValueError, match="connection sums would add 2621400000 cells, cap is 1073741824"):
+        cm.connection_sums(range(20000))
+    assert cm._tally is None  # refused before the tally is read
+
+
 def test_connection_set_elements_size():
     cm = classify(get_field(2, 12), 45)
     elems = cm.connection_set_elements((0, 5, 10))

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclosrg import family_search
 from cyclosrg.cyclotomy import classify
@@ -152,6 +152,9 @@ def _reference_scan(kind, p_max, other_max):
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(st.integers(2, 200), st.integers(2, 200), st.integers(2, 600))
+# the benchmark's scan boxes: pairs up to 60 x 600, triples up to 60 x 2000 and 5 x 400
+@example(60, 600, 2000)
+@example(5, 500, 400)
 def test_scans_match_reference_loop(p_max, p1_max, n_max):
     assert scan_pairs(p_max, p1_max) == _reference_scan("pairs", p_max, p1_max)
     assert scan_triples(p_max, n_max) == _reference_scan("triples", p_max, n_max)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,26 @@ def test_spectrum_rejects_infeasible():
     assert srg_from_spectrum(100, 9, [1, -11]) is None
     # lambda above k - 1
     assert srg_from_spectrum(50, 7, [7, 1]) is None
+
+
+def test_spectrum_rejects_irrational_values_off_the_conference_condition():
+    # 1 +- sqrt(5), as 2 + 2 eta0 and -2 eta0 in Z[xi_5]: lambda = 4 and mu = 2 meet
+    # k (k - lambda - 1) = (v - k - 1) mu at v, k = 10, 6, but 2k + (v - 1)(r + s) = 30
+    x = CyclotomicInteger.from_exponent_counts(5, [2, 2, 0, 0, 2])
+    y = CyclotomicInteger.from_exponent_counts(5, [0, -2, 0, 0, -2])
+    assert srg_engine._sum_product(x, y) == (2, -4)
+    assert srg_from_spectrum(10, 6, [x, y]) is None
+
+
+def test_spectrum_rejects_a_fractional_multiplicity():
+    # srg(21, 5, 1, 1) meets k (k - lambda - 1) = (v - k - 1) mu, but r, s = 2, -2
+    # would have multiplicities 35/4 and 45/4
+    assert srg_from_spectrum(21, 5, [2, -2]) is None
+
+
+def test_spectrum_rejects_an_empty_multiplicity():
+    # K_4 as srg(4, 3, 2, 2) with values 1, -1: r = 1 would have multiplicity 0
+    assert srg_from_spectrum(4, 3, [1, -1]) is None
 
 
 def test_spectrum_conference_paley5():
@@ -612,6 +633,20 @@ def test_predicted_prime_power_small_and_large_m():
     assert sp.integer_values() == [585, -439]
     assert (sp.v, sp.k, sp.N) == (2**21, (2**21 - 1) // 7, 49)
     assert sp.two_valued and sp.collapse_holds()
+
+
+def test_non_integral_prediction_has_no_integer_values_or_certificate():
+    # the closed forms are rational eigenvalues, so integers, on every input the
+    # predictions accept; (3, 11) is no family (3^5 = 1 mod 121) and a halved
+    # candidate of its prediction reaches the guards
+    sp = predicted_spectrum_prime_power(3, 11, 1)
+    assert sp.integral
+    tag, val = sp.values[-1]
+    halved = dataclasses.replace(sp, values=(*sp.values[:-1], (tag, val + Fraction(1, 2))))
+    assert not halved.integral
+    with pytest.raises(ValueError, match="non-integral"):
+        halved.integer_values()
+    assert halved.certificate() is None
 
 
 def test_predicted_prime_power_certificate_matches_parameters():

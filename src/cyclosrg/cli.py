@@ -126,7 +126,7 @@ def _classes_arg(text: str) -> tuple[int, ...]:
 def _cmd_build_field(args):
     fld = build_field(args.p, args.f, modulus=args.modulus)
     summary = {"p": fld.p, "f": fld.f, "q": fld.q, "modulus": list(fld.modulus), "gamma": fld.gamma,
-               "gamma_trace": fld.trace_of(fld.gamma)}
+               "gamma_trace": int(fld.trace[fld.gamma])}
     data = dict(summary)
     if args.dump_tables:
         rows = np.column_stack((np.arange(fld.q - 1), fld.antilog, fld.trace[fld.antilog]))

@@ -18,8 +18,9 @@ that chunk, and the chunk images are XORed (p = 2) or added and reduced slot
 by slot (odd p).  The trace is F_p-linear too: an XOR doubling at p = 2 and
 an outer sum over the digits at odd p.  build_field finds the modulus, gamma
 and the trace table; antilog and log are built the first time either is
-read, and class_columns gives columns of antilog without it.  Products and
-logs read the tables, sums go digit by digit, and -1 is the encoding p - 1:
+read, and class_columns gives columns of antilog without it.  A product is
+antilog[(log x + log y) % (q-1)], sub_vec subtracts digit by digit, and -1 is
+the encoding p - 1:
 
     antilog[i] = encoding of gamma**i          (length q-1)
     log[x]     = i with antilog[i] == x        (length q, log[0] == -1)
@@ -280,7 +281,8 @@ class FieldTable:
     and are built together the first time either is read; tallies over large
     fields can take columns of antilog from class_columns instead.  trace has
     dtype np.min_scalar_type(p - 1), so arithmetic on its entries wraps unless
-    they are widened first.
+    they are widened first.  The one arithmetic method is sub_vec, which the
+    difference-count oracle reads; it takes no logarithm.
     """
 
     __slots__ = ("p", "f", "q", "modulus", "gamma", "trace", "_antilog", "_log")
@@ -337,61 +339,14 @@ class FieldTable:
         heads = self._powers(np.ones(1, dtype=np.int64), self.gamma, N + 1).reshape(-1)
         return self._powers(heads[a], int(heads[N]), (self.q - 1) // N)
 
-    def dlog(self, x: int) -> int:
-        if not 1 <= operator.index(x) < self.q:
-            raise ValueError(f"dlog needs a nonzero field element, got {x}")
-        return int(self.log[x])
-
-    def _element(self, x: int) -> int:
-        if not 0 <= operator.index(x) < self.q:
-            raise ValueError(f"element out of range: {x}")
-        return x
-
-    def trace_of(self, x: int) -> int:
-        return int(self.trace[self._element(x)])
-
-    def mul(self, x: int, y: int) -> int:
-        if 0 in (self._element(x), self._element(y)):
-            return 0
-        return int(self.antilog[(self.dlog(x) + self.dlog(y)) % (self.q - 1)])
-
-    def pow_element(self, x: int, e: int) -> int:
-        e = operator.index(e)
-        if self._element(x) == 0:
-            if e <= 0:
-                raise ValueError("0 cannot be raised to a nonpositive power")
-            return 0
-        return int(self.antilog[self.dlog(x) * e % (self.q - 1)])
-
-    def inv(self, x: int) -> int:
-        return self.pow_element(x, -1)
-
-    def neg(self, x: int) -> int:
-        return self.sub(0, x)
-
-    def add(self, x: int, y: int) -> int:
-        return int(self.add_vec(np.int64(self._element(x)), np.int64(self._element(y))))
-
-    def sub(self, x: int, y: int) -> int:
-        return int(self.sub_vec(np.int64(self._element(x)), np.int64(self._element(y))))
-
-    # vectorized arithmetic on encoded arrays (broadcasting allowed)
-
-    def add_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._digitwise(a, b, 1)
-
     def sub_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._digitwise(a, b, -1)
-
-    def _digitwise(self, a: np.ndarray, b: np.ndarray, sign: int) -> np.ndarray:
-        """a + sign * b, digit by digit mod p."""
+        """a - b on encoded arrays (broadcasting allowed), digit by digit mod p."""
         if self.p == 2:
             return a ^ b
-        op = np.add if sign > 0 else np.subtract
         res = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         pw = 1
         for _ in range(self.f):
-            res += (op(a // pw, b // pw) % self.p) * pw
+            res += (np.subtract(a // pw, b // pw) % self.p) * pw
             pw *= self.p
         return res
 

@@ -102,14 +102,6 @@ def is_squarefree(n: int) -> bool:
     return n >= 1 and all(e == 1 for e in factorize(n).values())
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted."""
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def primes_upto(n: int) -> list[int]:
     """Primes <= n, by the sieve of Eratosthenes."""
     if n < 2:

@@ -178,7 +178,10 @@ def _certificate(v: int, k: int, e1: int, e2: int, source: str) -> SrgCertificat
         return None
     sd = math.isqrt(disc)
     if sd * sd != disc:
-        if 2 * k + (v - 1) * e1 != 0 or (v - 1) % 2:
+        # past this test v - 1 is even: an odd v - 1 would divide k, so with
+        # both callers' 1 <= k <= v - 1, k = v - 1 and e1 = -2; the identity
+        # above then gives lam = k - 1, e2 = 1 and disc = 0, refused above
+        if 2 * k + (v - 1) * e1 != 0:
             return None
         half = (v - 1) // 2
         return SrgCertificate(v, k, lam, mu, None, None, half, half, source, mu == 0, True)

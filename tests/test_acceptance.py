@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import get_field
+from conftest import divisors, get_field
 from cyclosrg.cyclotomy import CyclotomicInteger, classify
 from cyclosrg.family_search import (
     pair_family_check,
@@ -30,7 +30,7 @@ from cyclosrg.gauss_theory import (
     index2_gauss_two_primes,
     semiprimitive_gauss,
 )
-from cyclosrg.ntheory import divisors, primes_upto
+from cyclosrg.ntheory import primes_upto
 from cyclosrg.srg_engine import (
     difference_count_oracle,
     predicted_spectrum_prime_power,

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from cyclosrg import cyclotomy
 from cyclosrg.cyclotomy import ClassMap, CyclotomicInteger, classify
 from cyclosrg.finite_field import SIZE_CAP, build_field
-from cyclosrg.ntheory import divisors, is_prime
+from cyclosrg.ntheory import is_prime
 from cyclosrg.srg_engine import _sum_product, difference_count_oracle, srg_from_spectrum
 
-from conftest import get_field
+from conftest import divisors, get_field
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,7 @@ def test_class_layout_matches_log_mod_n():
                 d = list(range(0, N, 2)) + [N - 1]
                 expected = fld.antilog[np.isin(cls, d)]
                 assert np.array_equal(cm.connection_set_elements(d), expected), (p, f, N)
-                assert cm.negation_shift == fld.dlog(p - 1) % N, (p, f, N)
+                assert cm.negation_shift == fld.log[p - 1] % N, (p, f, N)
             f += 1
 
 

@@ -5,8 +5,9 @@ formats: json (stable key order, byte-identical for identical argv), tsv,
 and pretty.  Exit codes: 0 for success or a verified-true answer, 1 for a
 checked-false answer (for example a union that is not strongly regular),
 2 for usage or domain errors, 3 for an internal error: a failed consistency
-check (AssertionError) or sign resolution (ArithmeticError), reported as one
-``internal error:`` line on stderr.
+check (AssertionError), or a failed sign resolution or closed form that is
+not an integer (ArithmeticError), reported as one ``internal error:`` line
+on stderr.
 
 Each handler returns (payload, tsv renderer, pretty renderer, exit code).
 The renderers take no argument and return the output lines; ``main`` calls

@@ -21,9 +21,10 @@ counts only one column per orbit, gamma^(a + Nj) built by
 FieldTable.class_columns, and copies its row to the rest of the orbit; else
 it counts all N columns of the antilog table.
 
-Z[xi_p] is kept as an additive group: no product is formed.  The one
-quadratic subfield Q(sqrt(p*)), p* = (-1)^((p-1)/2) p, is read off the
-exponent counts instead: an element lies in it exactly when its counts are
+Elements of Z[xi_p] are only added, two of one p at a time: no negation,
+conjugate or product is formed.  The one quadratic subfield
+Q(sqrt(p*)), p* = (-1)^((p-1)/2) p, is read off the exponent counts
+instead: an element lies in it exactly when its counts are
 constant on the nonzero squares and constant on the non-squares, and is
 then u + v*eta0 with eta0 the sum of xi^t over the nonzero squares t.
 
@@ -67,7 +68,7 @@ class CyclotomicInteger:
     Instances are immutable and hashable.  Coefficients are stored as
     Python ints; other integer types (numpy ints, bool) are converted by
     operator.index, which refuses floats and strings rather than truncate.
-    Elements add, subtract, negate and conjugate; there is no product.
+    Two elements of the same Z[xi_p] add; there is no other arithmetic.
     """
 
     __slots__ = ("p", "coeffs")
@@ -87,50 +88,17 @@ class CyclotomicInteger:
         z.p, z.coeffs = p, coeffs
         return z
 
-    # construction helpers
-
-    @classmethod
-    def from_exponent_counts(cls, p: int, counts) -> "CyclotomicInteger":
-        """Fold sum(counts[j] * xi^j, j = 0..p-1) into the power basis."""
-        p = _checked_p(p)
-        counts = [operator.index(c) for c in counts]
-        if len(counts) != p:
-            raise ValueError(f"need {p} exponent counts for p = {p}")
-        top = counts[p - 1]
-        return cls._of(p, tuple(counts[j] - top for j in range(p - 1)))
-
     @classmethod
     def from_int(cls, p: int, n: int) -> "CyclotomicInteger":
         p = _checked_p(p)
         return cls._of(p, (operator.index(n),) + (0,) * (p - 2))
 
-    # ring structure
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, CyclotomicInteger):
             return NotImplemented
+        if other.p != self.p:
+            raise ValueError("mixed cyclotomic orders")
         return CyclotomicInteger._of(self.p, tuple(map(operator.add, self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicInteger._of(self.p, tuple(map(operator.neg, self.coeffs)))
-
-    def __sub__(self, other):
-        return self + -other if isinstance(other, (int, CyclotomicInteger)) else NotImplemented
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def _coerce(self, other):
-        if isinstance(other, CyclotomicInteger):
-            if other.p != self.p:
-                raise ValueError("mixed cyclotomic orders")
-            return other
-        if isinstance(other, int):
-            return CyclotomicInteger.from_int(self.p, other)
-        return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -158,14 +126,6 @@ class CyclotomicInteger:
         if not self.is_rational_integer:
             raise ValueError(f"not a rational integer: {self!r}")
         return self.coeffs[0]
-
-    def conjugate(self) -> "CyclotomicInteger":
-        """Complex conjugation xi -> xi^{-1}."""
-        p = self.p
-        counts = [0] * p
-        for j, c in enumerate(self.coeffs):
-            counts[(-j) % p] += c
-        return CyclotomicInteger.from_exponent_counts(p, counts)
 
     def quadratic_coordinates(self) -> tuple[int, int] | None:
         """(u, v) with self = u + v*eta0 if self lies in Q(sqrt(p*)), else None; (c_0, 0) for p = 2.

@@ -390,7 +390,7 @@ class ExampleReport:
     k: int
     spectrum: tuple
     certificate: SrgCertificate | None
-    predicted_values: tuple[int, ...] | None
+    predicted_values: tuple[int, ...]
     predicted_matches: bool
     oracle_ran: bool
     oracle_agrees: bool | None
@@ -405,7 +405,7 @@ class ExampleReport:
             "q": self.q,
             "k": self.k,
             "spectrum": list(self.spectrum),
-            "predicted_spectrum": None if self.predicted_values is None else list(self.predicted_values),
+            "predicted_spectrum": list(self.predicted_values),
             "predicted_matches": self.predicted_matches,
             "oracle_ran": self.oracle_ran,
             "oracle_agrees": self.oracle_agrees,
@@ -433,7 +433,7 @@ def verify_named_example(name: str) -> ExampleReport:
         spectrum = tuple(repr(val) for val in distinct)
     k = ex.k
     predicted = ex.predicted()
-    predicted_values = tuple(predicted.integer_values()) if predicted.integral else None
+    predicted_values = tuple(predicted.integer_values())
     predicted_matches = cert is not None and certificates_agree(cert, predicted.certificate())
     ok = predicted_matches and oracle_agrees is not False
     return ExampleReport(

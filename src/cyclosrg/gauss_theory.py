@@ -139,7 +139,7 @@ class GaussSumNumeric(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def mult_order(a: int, n: int) -> int:
     """Multiplicative order of a modulo n."""
     a, n = operator.index(a), operator.index(n)
@@ -188,7 +188,7 @@ def _classify_index2(p: int, N: int, fac: dict[int, int] | None) -> Index2Case:
     raise AssertionError("index 2 component orders do not fit any known case")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def class_number(d: int) -> int:
     """Class number of Q(sqrt(-d)) for squarefree d >= 1, by form counting.
 

@@ -15,7 +15,8 @@ shared function, _certificate, whose result SrgCertificate re-checks:
 * difference_count_oracle: brute-force difference counting, no character
   theory at all,
 * predicted_spectrum_*: closed-form eigenvalue candidates straight from the
-  quadratic Gauss sum certificate (b, c, h0).
+  quadratic Gauss sum certificate (b, c, h0), each an integer numerator
+  divided exactly by 2 p1 or 2 N; a remainder raises ArithmeticError.
 
 A class union is decided in one place, verify_union: it checks D with
 ClassMap.classes, refuses an asymmetric D as the oracle does, passes the
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -306,9 +306,11 @@ def verify_union(cm: ClassMap, D, source: str, oracle: bool) -> tuple[tuple, Srg
 class PredictedSpectrum:
     """Eigenvalue candidates of the cyclotomic Cayley graph, by closed form.
 
-    values are (tag, exact value) pairs; tags name the candidate branch.
-    gauss is the quadratic certificate the formulas were built from.  v and
-    k, the graph order and valency, are formed when read.
+    values are (tag, eigenvalue) pairs of ints; tags name the candidate
+    branch.  Each candidate is a rational combination of b, c and p^h0 and an
+    algebraic integer, so an integer.  gauss is the quadratic certificate the
+    formulas were built from.  v and k, the graph order and valency, are
+    formed when read.
     """
 
     p: int
@@ -317,7 +319,7 @@ class PredictedSpectrum:
     p2: int | None
     N: int
     gauss: QuadraticGaussValue
-    values: tuple[tuple[str, Fraction], ...]
+    values: tuple[tuple[str, int], ...]
 
     @property
     def v(self) -> int:
@@ -327,21 +329,13 @@ class PredictedSpectrum:
     def k(self) -> int:
         return (self.v - 1) // (self.p1 * (self.p2 or 1))
 
-    def distinct_values(self) -> list[Fraction]:
+    def integer_values(self) -> list[int]:
+        """The distinct candidates, largest first."""
         return sorted(set(val for _, val in self.values), reverse=True)
 
     @property
     def two_valued(self) -> bool:
-        return len(self.distinct_values()) == 2
-
-    @property
-    def integral(self) -> bool:
-        return all(val.denominator == 1 for _, val in self.values)
-
-    def integer_values(self) -> list[int]:
-        if not self.integral:
-            raise ValueError("spectrum has non-integral candidates")
-        return [int(val) for val in self.distinct_values()]
+        return len(self.integer_values()) == 2
 
     def collapse_holds(self) -> bool:
         """For two-prime spectra: candidates c1, c2, c3 fall onto c+ or c-."""
@@ -352,9 +346,7 @@ class PredictedSpectrum:
         return all(named[t] in pm for t in ("c_one", "c_two", "c_three"))
 
     def certificate(self) -> SrgCertificate | None:
-        """Certificate from the predicted values, when they are integral."""
-        if not self.integral:
-            return None
+        """Certificate from the predicted values."""
         return srg_from_spectrum(self.v, self.k, self.integer_values(), source="PREDICTED")
 
 
@@ -365,6 +357,17 @@ def _capped_terms(gauss: QuadraticGaussValue) -> tuple[int, int, int]:
     return gauss.b, gauss.c_abs, gauss.p**gauss.h0
 
 
+def _exact_values(den: int, **numerators: int) -> tuple[tuple[str, int], ...]:
+    """(tag, numerator / den) for each candidate, refused with ArithmeticError unless den divides the numerator."""
+    values = []
+    for tag, num in numerators.items():
+        val, rem = divmod(num, den)
+        if rem:
+            raise ArithmeticError(f"closed-form candidate {tag} is not an integer: {den} does not divide its numerator")
+        values.append((tag, val))
+    return tuple(values)
+
+
 def predicted_spectrum_prime_power(p: int, p1: int, m: int) -> PredictedSpectrum:
     """Eigenvalues of Cay(F_{p^f}, C_0 u ... u C_{p1^{m-1}-1}), N = p1^m.
 
@@ -373,24 +376,23 @@ def predicted_spectrum_prime_power(p: int, p1: int, m: int) -> PredictedSpectrum
 
         zero branch:   b p^{h0} / 2 - b p^{h0} / (2 p1) - 1/p1
         +- branches: +-c p^{h0} / 2 - b p^{h0} / (2 p1) - 1/p1
+
+    formed as integer numerators over 2 p1.
     """
     p, p1, m = operator.index(p), operator.index(p1), operator.index(m)
     gauss = index2_gauss_prime_power(p, p1, m)
     b, c, ph0 = _capped_terms(gauss)
-    base = -Fraction(b * ph0, 2 * p1) - Fraction(1, p1)
-    values = (
-        ("c_zero", Fraction(b * ph0, 2) + base),
-        ("c_plus", Fraction(c * ph0, 2) + base),
-        ("c_minus", -Fraction(c * ph0, 2) + base),
-    )
+    base = -b * ph0 - 2
+    values = _exact_values(2 * p1, c_zero=b * ph0 * p1 + base, c_plus=c * ph0 * p1 + base, c_minus=-c * ph0 * p1 + base)
     return PredictedSpectrum(p, p1, m, None, p1**m, gauss, values)
 
 
 def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> PredictedSpectrum:
     """Eigenvalues of Cay(F_{p^f}, union of C_{i p2}), N = p1^m p2.
 
-    Five candidates c_plus, c_minus, c_one, c_two, c_three; strong regularity
-    is exactly the collapse of the last three onto the first two.
+    Five candidates c_plus, c_minus, c_one, c_two, c_three, formed as integer
+    numerators over 2 N; strong regularity is exactly the collapse of the
+    last three onto the first two.
     """
     p, p1, p2, m = operator.index(p), operator.index(p1), operator.index(p2), operator.index(m)
     gauss = index2_gauss_two_primes(p, p1, p2, m)
@@ -401,19 +403,13 @@ def predicted_spectrum_two_primes(p: int, p1: int, p2: int, m: int) -> Predicted
     P = p1 ** (m - 1)
     sign1 = -1 if p1 % 4 == 3 else 1
     sign2 = -1 if p2 % 4 == 3 else 1
-    c_plus = -P + Fraction(b * ph0 * P, 2) + Fraction(c * ph0 * P * p1 * p2, 2)
-    c_minus = -P + Fraction(b * ph0 * P, 2) - Fraction(c * ph0 * P * p1 * p2, 2)
-    c_one = -P - sign1 * P * p2 * sq - sign2 * p1 * P * sq + Fraction(b * ph0 * P * (p1 - 1) * (p2 - 1), 2)
-    c_two = -P - sign1 * P * p2 * sq - Fraction(b * ph0 * P * (p2 - 1), 2)
-    c_three = -P - sign2 * p1 * P * sq - Fraction(b * ph0 * P * (p1 - 1), 2)
-    values = tuple(
-        (tag, val / N)
-        for tag, val in (
-            ("c_plus", c_plus),
-            ("c_minus", c_minus),
-            ("c_one", c_one),
-            ("c_two", c_two),
-            ("c_three", c_three),
-        )
+    bP, cP = b * ph0 * P, c * ph0 * P * p1 * p2
+    values = _exact_values(
+        2 * N,
+        c_plus=-2 * P + bP + cP,
+        c_minus=-2 * P + bP - cP,
+        c_one=-2 * P - 2 * sign1 * P * p2 * sq - 2 * sign2 * p1 * P * sq + bP * (p1 - 1) * (p2 - 1),
+        c_two=-2 * P - 2 * sign1 * P * p2 * sq - bP * (p2 - 1),
+        c_three=-2 * P - 2 * sign2 * p1 * P * sq - bP * (p1 - 1),
     )
     return PredictedSpectrum(p, p1, m, p2, N, gauss, values)

@@ -1,9 +1,14 @@
-"""Shared test helpers: a build cache so suites can reuse field tables, and
-scalar references that read a field only through its tables or its digits."""
+"""Shared test helpers: a build cache so suites can reuse field tables,
+scalar references that read a field only through its tables or its digits,
+the Z[xi_p] operations CyclotomicInteger leaves out, and Fraction references
+of the closed-form eigenvalues."""
 
+from fractions import Fraction
 from functools import lru_cache
 
+from cyclosrg.cyclotomy import CyclotomicInteger
 from cyclosrg.finite_field import build_field
+from cyclosrg.gauss_theory import index2_gauss_prime_power, index2_gauss_two_primes
 from cyclosrg.ntheory import factorize
 
 
@@ -47,3 +52,50 @@ def mul(fld, x: int, y: int) -> int:
 def power(fld, x: int, e: int) -> int:
     """x**e for nonzero x, read through the tables: antilog[log x * e % (q-1)]."""
     return int(fld.antilog[fld.log[x] * e % (fld.q - 1)])
+
+
+def fold(p: int, counts) -> CyclotomicInteger:
+    """sum(counts[j] xi^j, j = 0..p-1) in the power basis, by 1 + xi + ... + xi^(p-1) = 0."""
+    counts = list(counts)
+    return CyclotomicInteger(p, [c - counts[-1] for c in counts[:-1]])
+
+
+def neg(z: CyclotomicInteger) -> CyclotomicInteger:
+    return CyclotomicInteger(z.p, [-c for c in z.coeffs])
+
+
+def conj(z: CyclotomicInteger) -> CyclotomicInteger:
+    """Complex conjugation xi -> xi^(-1)."""
+    counts = [0] * z.p
+    for j, c in enumerate(z.coeffs):
+        counts[-j % z.p] += c
+    return fold(z.p, counts)
+
+
+def reference_prime_power(p: int, p1: int, m: int) -> tuple:
+    """The tagged prime-power closed forms in Fraction arithmetic, term by term as the paper gives them."""
+    g = index2_gauss_prime_power(p, p1, m)
+    b, c, ph0 = g.b, g.c_abs, p**g.h0
+    base = -Fraction(b * ph0, 2 * p1) - Fraction(1, p1)
+    return (
+        ("c_zero", Fraction(b * ph0, 2) + base),
+        ("c_plus", Fraction(c * ph0, 2) + base),
+        ("c_minus", -Fraction(c * ph0, 2) + base),
+    )
+
+
+def reference_two_primes(p: int, p1: int, p2: int, m: int) -> tuple:
+    """The tagged two-prime closed forms in Fraction arithmetic, term by term as the paper gives them."""
+    g = index2_gauss_two_primes(p, p1, p2, m)
+    b, c, ph0 = g.b, g.c_abs, p**g.h0
+    N, sq, P = p1**m * p2, p ** (g.f // 2), p1 ** (m - 1)
+    sign1 = -1 if p1 % 4 == 3 else 1
+    sign2 = -1 if p2 % 4 == 3 else 1
+    values = (
+        ("c_plus", -P + Fraction(b * ph0 * P, 2) + Fraction(c * ph0 * P * p1 * p2, 2)),
+        ("c_minus", -P + Fraction(b * ph0 * P, 2) - Fraction(c * ph0 * P * p1 * p2, 2)),
+        ("c_one", -P - sign1 * P * p2 * sq - sign2 * p1 * P * sq + Fraction(b * ph0 * P * (p1 - 1) * (p2 - 1), 2)),
+        ("c_two", -P - sign1 * P * p2 * sq - Fraction(b * ph0 * P * (p2 - 1), 2)),
+        ("c_three", -P - sign2 * p1 * P * sq - Fraction(b * ph0 * P * (p1 - 1), 2)),
+    )
+    return tuple((tag, val / N) for tag, val in values)

@@ -469,6 +469,11 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cyclosrg.family_search, "predicted_spectrum_prime_power", flipped_b)
     code, out, err = run(capsys, "scan-pairs", "--p-max", "3", "--p1-max", "8")
     assert code == 3 and out == "" and err.startswith("internal error:") and err.count("\n") == 1
+    # an off-by-one p^h0 leaves a remainder in a closed form's exact quotient (ArithmeticError)
+    capped = cyclosrg.srg_engine._capped_terms
+    monkeypatch.setattr(cyclosrg.srg_engine, "_capped_terms", lambda gauss: (*capped(gauss)[:2], capped(gauss)[2] + 1))
+    code, out, err = run(capsys, "verify-example", "--name", "ex51_m1")
+    assert code == 3 and out == "" and err.startswith("internal error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

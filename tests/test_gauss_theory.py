@@ -520,7 +520,7 @@ _CLOSED_FORM_CALLS = {
 @pytest.mark.parametrize("call, args", list(_CLOSED_FORM_CALLS.values()), ids=list(_CLOSED_FORM_CALLS))
 def test_closed_forms_take_numpy_integers(call, args):
     # numpy ints have no bit_length and refuse three-argument pow; mult_order's
-    # cache would answer for equal Python ints, so it is cleared first
+    # cache is cleared first, so the numpy call is computed, not read back
     getattr(call, "cache_clear", lambda: None)()
     got = call(*map(np.int64, args))
     assert got == call(*args)

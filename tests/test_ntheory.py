@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from cyclosrg.gauss_theory import classify_index2, mult_order
+from cyclosrg.gauss_theory import class_number, classify_index2, mult_order
 from cyclosrg.ntheory import (
     PRIME_TEST_BOUND,
     TRIAL_DIVISION_BOUND,
@@ -54,6 +54,14 @@ def test_is_prime_refuses_beyond_its_bound():
     ],
 )
 def test_number_theory_refuses_floats(fn, args):
+    with pytest.raises(TypeError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn, warm, args", [(mult_order, (2, 7), (2.0, 7)), (class_number, (np.int64(7),), (7.0,))])
+def test_cached_closed_forms_refuse_floats_after_an_equal_call(fn, warm, args):
+    # the caches key on type, so a float equal to a cached argument is refused as it is cold
+    fn(*warm)
     with pytest.raises(TypeError):
         fn(*args)
 

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import textwrap
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ from cyclosrg.srg_engine import (
     srg_from_spectrum,
 )
 
-from conftest import divisors, get_field, sub
+from conftest import divisors, fold, get_field, reference_prime_power, reference_two_primes, sub
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +77,8 @@ def test_spectrum_rejects_infeasible():
 def test_spectrum_rejects_irrational_values_off_the_conference_condition():
     # 1 +- sqrt(5), as 2 + 2 eta0 and -2 eta0 in Z[xi_5]: lambda = 4 and mu = 2 meet
     # k (k - lambda - 1) = (v - k - 1) mu at v, k = 10, 6, but 2k + (v - 1)(r + s) = 30
-    x = CyclotomicInteger.from_exponent_counts(5, [2, 2, 0, 0, 2])
-    y = CyclotomicInteger.from_exponent_counts(5, [0, -2, 0, 0, -2])
+    x = fold(5, [2, 2, 0, 0, 2])
+    y = fold(5, [0, -2, 0, 0, -2])
     assert srg_engine._sum_product(x, y) == (2, -4)
     assert srg_from_spectrum(10, 6, [x, y]) is None
 
@@ -437,6 +436,7 @@ def test_no_module_imports_private_names():
 # public names that no code in src/ reads, each kept on purpose
 _UNREAD_BY_DESIGN = {
     "connection_set_elements": "the perfbench tracer wraps it by name; the oracle tests read it",
+    "from_int": "a rational integer in Z[xi_p]; perfbench starts its sum of the periods from from_int(p, 0)",
     "hit_keys": "a scan report's hits for library callers; perfbench and demo 04 read it",
     "rejection_reasons": "a scan report's per-candidate lookup; demo 04 reads it",
     "collapse_holds": "the collapse of the two-prime candidates onto two values; the acceptance tests read it",
@@ -664,18 +664,39 @@ def test_predicted_prime_power_small_and_large_m():
     assert sp.two_valued and sp.collapse_holds()
 
 
-def test_non_integral_prediction_has_no_integer_values_or_certificate():
-    # the closed forms are rational eigenvalues, so integers, on every input the
-    # predictions accept; (3, 11) is no family (3^5 = 1 mod 121) and a halved
-    # candidate of its prediction reaches the guards
-    sp = predicted_spectrum_prime_power(3, 11, 1)
-    assert sp.integral
-    tag, val = sp.values[-1]
-    halved = dataclasses.replace(sp, values=(*sp.values[:-1], (tag, val + Fraction(1, 2))))
-    assert not halved.integral
-    with pytest.raises(ValueError, match="non-integral"):
-        halved.integer_values()
-    assert halved.certificate() is None
+def _accepted_predictions():
+    # prime power: p < 30, p1 < 200, m <= 3; two primes: p < 30, p1, p2 < 60, m <= 2
+    for p in primes_upto(29):
+        for args in [(p, p1, m) for p1 in primes_upto(199) for m in (1, 2, 3)] + [
+            (p, p1, p2, m) for p1 in primes_upto(59) for p2 in primes_upto(59) for m in (1, 2)
+        ]:
+            try:
+                sp = predicted_spectrum_prime_power(*args) if len(args) == 3 else predicted_spectrum_two_primes(*args)
+            except ValueError:
+                continue
+            yield args, sp
+
+
+def test_integer_closed_forms_match_the_fraction_reference():
+    # the closed forms are rational eigenvalues, so integers: each exact quotient
+    # of an integer numerator equals the paper's formula evaluated in Fractions
+    counts = {3: 0, 4: 0}
+    for args, sp in _accepted_predictions():
+        want = reference_prime_power(*args) if len(args) == 3 else reference_two_primes(*args)
+        assert sp.values == want, args
+        assert all(type(val) is int for _, val in sp.values), args
+        counts[len(args)] += 1
+    assert counts == {3: 226, 4: 482}
+
+
+def test_closed_forms_refuse_a_remainder(monkeypatch):
+    # an off-by-one p^h0 leaves a remainder, which must raise, not round
+    capped = srg_engine._capped_terms
+    monkeypatch.setattr(srg_engine, "_capped_terms", lambda gauss: (*capped(gauss)[:2], capped(gauss)[2] + 1))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        predicted_spectrum_prime_power(2, 7, 1)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        predicted_spectrum_two_primes(2, 3, 5, 1)
 
 
 def test_predicted_prime_power_certificate_matches_parameters():

@@ -60,9 +60,7 @@ for trial in range(40):
     k = len(D) * (q - 1) // N
     by_spectrum = srg_from_spectrum(q, k, sums)
     by_oracle = difference_count_oracle(cm, D)
-    same = (by_spectrum is None) == (by_oracle is None) and (
-        by_spectrum is None or by_oracle.same_graph_data(by_spectrum)
-    )
+    same = by_spectrum == by_oracle  # equality ignores the route, and two Nones agree
     agreements += same
     srg_count += by_spectrum is not None
     assert same, (p, f, N, D)

@@ -28,7 +28,6 @@ from .ntheory import is_prime, prime_factors, primes_upto, reduce_order
 from .srg_engine import (
     PredictedSpectrum,
     SrgCertificate,
-    certificates_agree,
     predicted_spectrum_prime_power,
     predicted_spectrum_two_primes,
     verify_union,
@@ -434,7 +433,7 @@ def verify_named_example(name: str) -> ExampleReport:
     k = ex.k
     predicted = ex.predicted()
     predicted_values = tuple(predicted.integer_values())
-    predicted_matches = cert is not None and certificates_agree(cert, predicted.certificate())
+    predicted_matches = cert is not None and cert == predicted.certificate()
     ok = predicted_matches and oracle_agrees is not False
     return ExampleReport(
         example=ex, q=field.q, k=k, spectrum=spectrum, certificate=cert, predicted_values=predicted_values,

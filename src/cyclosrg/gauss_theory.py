@@ -72,14 +72,10 @@ class Index2Kind(str, Enum):
 
 @dataclass(frozen=True)
 class Index2Case:
-    """Shape of (Z/NZ)* / <p> for odd N: which index-2 case applies, if any."""
+    """Shape of (Z/NZ)* / <p> for odd N: which index-2 case applies, if any, and the order f of p mod N."""
 
     tag: Index2Kind
     order: int
-    p1: int | None = None
-    m: int | None = None
-    p2: int | None = None
-    n: int | None = None
 
 
 @dataclass(frozen=True)
@@ -173,18 +169,14 @@ def _classify_index2(p: int, N: int, fac: dict[int, int] | None) -> Index2Case:
     if 2 * order != math.prod(phis) or minus_one_in:
         return Index2Case(Index2Kind.NOT_INDEX2, order)
     if len(fac) == 1:
-        (p1, m), = fac
-        return Index2Case(Index2Kind.PRIME_POWER, order, p1=p1, m=m)
-    if len(fac) != 2:
-        raise AssertionError("index 2 with three or more odd primes is impossible")
-    # p1 is the component of full order; when both are, the repeated prime, and ties break small
-    ((p1, m), o1, phi1), ((p2, n), o2, phi2) = sorted(
-        zip(fac, orders, phis), key=lambda c: (c[1] != c[2], -c[0][1], c[0][0])
-    )
-    if o1 == phi1 and o2 == phi2:
-        return Index2Case(Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX, order, p1=p1, m=m, p2=p2, n=n)
-    if o1 == phi1 and 2 * o2 == phi2:
-        return Index2Case(Index2Kind.TWO_PRIMES_HALF_ORDER, order, p1=p1, m=m, p2=p2, n=n)
+        return Index2Case(Index2Kind.PRIME_POWER, order)
+    # the index of <p> modulo each component: both full is the mixed case, one half the half-order case;
+    # three odd primes cannot give index 2, since the 2-rank of (Z/NZ)* is then at least 3
+    indices = sorted(phi // o for phi, o in zip(phis, orders))
+    if indices == [1, 1]:
+        return Index2Case(Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX, order)
+    if indices == [1, 2]:
+        return Index2Case(Index2Kind.TWO_PRIMES_HALF_ORDER, order)
     raise AssertionError("index 2 component orders do not fit any known case")
 
 

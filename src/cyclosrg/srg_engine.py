@@ -34,6 +34,7 @@ family_search, beside the scans that test them.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 from dataclasses import dataclass
@@ -57,7 +58,10 @@ class SrgCertificate:
 
     r and s are None exactly when the two restricted eigenvalues are
     conjugate irrationals (conference graphs); then both multiplicities
-    equal (v-1)/2.  degenerate marks mu = 0.
+    equal (v-1)/2.  degenerate marks mu = 0.  source names the route that
+    produced the certificate and is not graph data: == and hash ignore it,
+    so two routes agree exactly when their certificates are equal (two
+    Nones included).
     """
 
     v: int
@@ -68,7 +72,7 @@ class SrgCertificate:
     s: int | None
     mult_r: int | None
     mult_s: int | None
-    source: str
+    source: str = dataclasses.field(compare=False)
     degenerate: bool
     irrational: bool
 
@@ -102,12 +106,8 @@ class SrgCertificate:
         return (self.v, self.k, self.lam, self.mu)
 
     def same_graph_data(self, other: "SrgCertificate") -> bool:
-        """Equality ignoring which route produced the certificate."""
-        return (
-            self.parameters() == other.parameters()
-            and (self.r, self.s, self.mult_r, self.mult_s) == (other.r, other.s, other.mult_r, other.mult_s)
-            and (self.degenerate, self.irrational) == (other.degenerate, other.irrational)
-        )
+        """Equality, which ignores the route that produced the certificate."""
+        return self == other
 
     def to_json_dict(self, inputs: dict) -> dict:
         return {
@@ -124,13 +124,6 @@ class SrgCertificate:
             "irrational_eigenvalues": self.irrational,
             "inputs": inputs,
         }
-
-
-def certificates_agree(cert: SrgCertificate | None, other: SrgCertificate | None) -> bool:
-    """Do two routes agree: neither certifies, or both certify the same graph data?"""
-    if cert is None or other is None:
-        return cert is other
-    return cert.same_graph_data(other)
 
 
 def _exact(v) -> int | CyclotomicInteger:
@@ -295,7 +288,7 @@ def verify_union(cm: ClassMap, D, source: str, oracle: bool) -> tuple[tuple, Srg
     d = _symmetric_classes(cm, D)
     distinct = tuple(dict.fromkeys(cm.connection_sums(d)))
     cert = srg_from_spectrum(cm.field.q, len(d) * cm.class_size, distinct, source)
-    return distinct, cert, certificates_agree(cert, difference_count_oracle(cm, d)) if oracle else None
+    return distinct, cert, cert == difference_count_oracle(cm, d) if oracle else None
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +303,9 @@ class PredictedSpectrum:
     branch.  Each candidate is a rational combination of b, c and p^h0 and an
     algebraic integer, so an integer.  gauss is the quadratic certificate the
     formulas were built from.  v and k, the graph order and valency, are
-    formed when read.
+    formed when read.  c is prime to p, so c_plus != c_minus: for two
+    primes, c_one, c_two and c_three fall onto {c_plus, c_minus} exactly
+    when integer_values() has two entries.
     """
 
     p: int
@@ -332,18 +327,6 @@ class PredictedSpectrum:
     def integer_values(self) -> list[int]:
         """The distinct candidates, largest first."""
         return sorted(set(val for _, val in self.values), reverse=True)
-
-    @property
-    def two_valued(self) -> bool:
-        return len(self.integer_values()) == 2
-
-    def collapse_holds(self) -> bool:
-        """For two-prime spectra: candidates c1, c2, c3 fall onto c+ or c-."""
-        named = dict(self.values)
-        if "c_one" not in named:
-            return self.two_valued
-        pm = {named["c_plus"], named["c_minus"]}
-        return all(named[t] in pm for t in ("c_one", "c_two", "c_three"))
 
     def certificate(self) -> SrgCertificate | None:
         """Certificate from the predicted values."""

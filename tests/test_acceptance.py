@@ -84,7 +84,7 @@ def test_criterion_1_delange_end_to_end():
         oracle = difference_count_oracle(classify(get_field(2, 12), 45), (0, 5, 10))
         assert oracle is not None
         assert (oracle.lam, oracle.mu) == (20, 18)
-        assert oracle.same_graph_data(cert)
+        assert oracle == cert
 
 
 def test_criterion_2_order_75_classes():
@@ -215,7 +215,9 @@ def test_criterion_8_randomized_oracle_equivalence():
                 assert by_oracle is None, (p, f, N, D)
             else:
                 assert by_oracle is not None, (p, f, N, D)
-                assert by_oracle.same_graph_data(by_spectrum), (p, f, N, D)
+                assert by_oracle == by_spectrum, (p, f, N, D)
+            # equal certificates are one set member: the route is not graph data
+            assert len({by_spectrum, by_oracle}) == 1 and hash(by_spectrum) == hash(by_oracle), (p, f, N, D)
             checked += 1
         assert checked >= 50
 
@@ -242,7 +244,7 @@ def test_criterion_9_twelve_family_collapse():
             check = pair_family_check(p, p1)
             assert check.ok, (p, p1)
             ps = predicted_spectrum_prime_power(p, p1, 2)
-            assert ps.two_valued and ps.collapse_holds(), (p, p1)
+            assert len(ps.integer_values()) == 2, (p, p1)
             cert = ps.certificate()
             assert cert is not None and not cert.degenerate, (p, p1)
             assert set(ps.integer_values()) == {check.r2, check.s2}, (p, p1)
@@ -257,7 +259,7 @@ def test_criterion_9_twelve_family_collapse():
             check = triple_family_check(p, p1, p2)
             assert check.ok, (p, p1, p2)
             ps = predicted_spectrum_two_primes(p, p1, p2, 2)
-            assert ps.collapse_holds() and ps.two_valued, (p, p1, p2)
+            assert len(ps.integer_values()) == 2, (p, p1, p2)
             cert = ps.certificate()
             assert cert is not None and not cert.degenerate, (p, p1, p2)
             assert set(ps.integer_values()) == {check.r2, check.s2}, (p, p1, p2)

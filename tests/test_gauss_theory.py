@@ -3,10 +3,12 @@
 import dataclasses
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cyclosrg.family_search import scan_pairs, scan_triples
 from cyclosrg.gauss_theory import (
     INDEX2_EXPONENT_CAP,
     QUADRATIC_FORM_BITS_CAP,
@@ -68,29 +70,24 @@ def test_mult_order_errors():
 
 
 def test_classify_prime_power():
-    case = classify_index2(2, 49)
-    assert case.tag is Index2Kind.PRIME_POWER
-    assert (case.p1, case.m) == (7, 2)
-    assert case.order == 21
+    assert classify_index2(2, 49) == Index2Case(Index2Kind.PRIME_POWER, 21)
+    assert classify_index2(2, 7) == Index2Case(Index2Kind.PRIME_POWER, 3)
 
 
 def test_classify_two_primes_mix():
-    case = classify_index2(2, 15)
-    assert case.tag is Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX
-    assert (case.p1, case.m, case.p2, case.n) == (3, 1, 5, 1)
-    case = classify_index2(2, 45)
-    assert (case.p1, case.m, case.p2, case.n) == (3, 2, 5, 1)
-    case = classify_index2(2, 75)
-    assert (case.p1, case.m, case.p2, case.n) == (5, 2, 3, 1)
-    case = classify_index2(3, 35)
-    assert (case.p1, case.m, case.p2, case.n) == (5, 1, 7, 1)
+    # p has full order modulo both components, whose orders share only the factor 2
+    mix = Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX
+    assert classify_index2(2, 15) == Index2Case(mix, 4)
+    assert classify_index2(2, 45) == Index2Case(mix, 12)
+    assert classify_index2(2, 75) == Index2Case(mix, 20)
+    assert classify_index2(3, 35) == Index2Case(mix, 12)
 
 
 def test_classify_half_order():
     # ord_3(2) = 2 is full, ord_7(2) = 3 = phi(7)/2, and overall index is 2
-    case = classify_index2(2, 21)
-    assert case.tag is Index2Kind.TWO_PRIMES_HALF_ORDER
-    assert (case.p1, case.m, case.p2, case.n) == (3, 1, 7, 1)
+    assert classify_index2(2, 21) == Index2Case(Index2Kind.TWO_PRIMES_HALF_ORDER, 6)
+    # the half-order component may be the repeated prime: ord_3(2) = 2 is full, ord_49(2) = 21 is half
+    assert classify_index2(2, 3 * 49) == Index2Case(Index2Kind.TWO_PRIMES_HALF_ORDER, 42)
 
 
 def test_classify_not_index2():
@@ -116,15 +113,12 @@ def _reference_classify(p, N):
     order = mult_order(p, N)
     if 2 * order != euler_phi(N) or (order % 2 == 0 and pow(p, order // 2, N) == N - 1):
         return Index2Case(Index2Kind.NOT_INDEX2, order)
-    fac = sorted(factorize(N).items())
+    fac = factorize(N)
     if len(fac) == 1:
-        return Index2Case(Index2Kind.PRIME_POWER, order, p1=fac[0][0], m=fac[0][1])
-    full = [mult_order(p, l**e) == euler_phi(l**e) for l, e in fac]
-    if all(full):
-        (p1, m), (p2, n) = sorted(fac, key=lambda le: (-le[1], le[0]))
-        return Index2Case(Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX, order, p1=p1, m=m, p2=p2, n=n)
-    (p1, m), (p2, n) = fac if full[0] else fac[::-1]
-    return Index2Case(Index2Kind.TWO_PRIMES_HALF_ORDER, order, p1=p1, m=m, p2=p2, n=n)
+        return Index2Case(Index2Kind.PRIME_POWER, order)
+    assert len(fac) == 2, (p, N)
+    full = [mult_order(p, l**e) == euler_phi(l**e) for l, e in fac.items()]
+    return Index2Case(Index2Kind.TWO_PRIMES_SEMIPRIMITIVE_MIX if all(full) else Index2Kind.TWO_PRIMES_HALF_ORDER, order)
 
 
 def test_classify_matches_component_reference():
@@ -398,6 +392,44 @@ def test_index2_magnitude_identity():
         index2_gauss_two_primes(3, 17, 19, 1),
     ]:
         assert (g.b**2 + g.delta * g.c_abs**2) * g.p ** (2 * g.h0) == 4 * g.p**g.f
+
+
+def _stickelberger_valuations(p, N, f):
+    """{s(a)/(p-1) : a = j (p^f - 1)/N, j = 1 and N - 1}, s the base-p digit sum.
+
+    By Stickelberger, s(a)/(p-1) is the valuation of the Gauss sum of omega^-a at a
+    prime above p.  The base-p expansion of j/N has period f, so digit k of a is
+    floor(p (j p^k mod N) / N): f small-int steps, with no p^f formed.
+    """
+    vals = set()
+    for j in (1, N - 1):
+        s, r = 0, j
+        for _ in range(f):
+            s += p * r // N
+            r = r * p % N
+        vals.add(Fraction(s, p - 1))
+    return vals
+
+
+def test_stickelberger_valuations_are_h0_and_h0_plus_h_on_the_scan_hits():
+    # index 2 puts j = 1 and j = N - 1 in the two cosets of <p>, and the cofactor
+    # (b + c sqrt(-delta))/2 of p^h0 has norm p^h, so the valuations are h0 and h0 + h;
+    # this checks h0 and the class number h with no field, far past the field cap
+    cases = []
+    for report in (scan_pairs(50, 500), scan_triples(5, 400)):
+        for hit in report.hits:
+            for m in (1, 2):
+                if hit.p2 is None:
+                    g, N = index2_gauss_prime_power(hit.p, hit.p1, m), hit.p1**m
+                else:
+                    g, N = index2_gauss_two_primes(hit.p, hit.p1, hit.p2, m), hit.p1**m * hit.p2
+                vals = _stickelberger_valuations(g.p, N, g.f)
+                assert vals == {g.h0, g.h0 + g.h}, (hit, m)
+                # an h0 or an h off by one gives other valuations
+                for h0, h in [(g.h0 + 1, g.h), (g.h0 - 1, g.h), (g.h0, g.h + 1), (g.h0, g.h - 1)]:
+                    assert vals != {h0, h0 + h}, (hit, m)
+                cases.append(g.f)
+    assert (len(cases), max(cases)) == (24, 124251)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from cyclosrg.gauss_theory import mult_order
 from cyclosrg.ntheory import euler_phi, factorize, is_prime, primes_upto
 from cyclosrg.srg_engine import (
     _difference_counts,
-    certificates_agree,
     difference_count_oracle,
     predicted_spectrum_prime_power,
     predicted_spectrum_two_primes,
@@ -334,7 +333,7 @@ def test_oracle_budget(monkeypatch):
     cm = classify(get_field(2, 16), 3)
     spectrum = srg_from_spectrum(cm.field.q, cm.class_size, cm.connection_sums((0,)))
     cert = difference_count_oracle(cm, (0,))
-    assert cert is not None and cert.same_graph_data(spectrum)
+    assert cert is not None and cert == spectrum
     # k = |D| = 32760 gives k |D| > 2^26: refused before any Zech table is built
     cm = classify(get_field(65521, 1), 65520)
     monkeypatch.setattr(srg_engine, "_difference_counts", lambda field, N, D: pytest.fail("counted past the budget"))
@@ -439,7 +438,8 @@ _UNREAD_BY_DESIGN = {
     "from_int": "a rational integer in Z[xi_p]; perfbench starts its sum of the periods from from_int(p, 0)",
     "hit_keys": "a scan report's hits for library callers; perfbench and demo 04 read it",
     "rejection_reasons": "a scan report's per-candidate lookup; demo 04 reads it",
-    "collapse_holds": "the collapse of the two-prime candidates onto two values; the acceptance tests read it",
+    "parameters": "a certificate's (v, k, lambda, mu) for library callers; the README, the demos and the tests read it",
+    "same_graph_data": "certificate equality under its older name, src/ compares with ==; perfbench calls it",
     "conjugate_values": "the numeric pair of a quadratic Gauss value; demo 03 and the acceptance tests read it",
 }
 
@@ -504,8 +504,9 @@ def test_oracle_agrees_with_spectrum_on_small_grid():
         from_spectrum = srg_from_spectrum(fld.q, k, sums)
         from_oracle = difference_count_oracle(cm, D)
         assert (from_spectrum is None) == (from_oracle is None), (p, f, N, D)
-        if from_spectrum is not None:
-            assert from_spectrum.same_graph_data(from_oracle), (p, f, N, D)
+        assert from_spectrum == from_oracle, (p, f, N, D)
+        # equal certificates are one set member: the route is not graph data
+        assert len({from_spectrum, from_oracle}) == 1 and hash(from_spectrum) == hash(from_oracle), (p, f, N, D)
 
 
 def _oracle_fields() -> dict[int, list[tuple[int, int, list[int]]]]:
@@ -543,8 +544,8 @@ def test_spectrum_agrees_with_oracle_up_to_q_2_16(case):
     from_spectrum = srg_from_spectrum(cm.field.q, len(D) * cm.class_size, cm.connection_sums(D))
     from_oracle = difference_count_oracle(cm, D)
     assert (from_spectrum is None) == (from_oracle is None)
-    if from_spectrum is not None:
-        assert from_spectrum.same_graph_data(from_oracle)
+    assert from_spectrum == from_oracle
+    assert len({from_spectrum, from_oracle}) == 1 and hash(from_spectrum) == hash(from_oracle)
 
 
 _DIRECTED = "connection set is not symmetric (-D != D); the Cayley graph would be directed"
@@ -559,7 +560,7 @@ def _reference_union(cm, D, source, oracle):
     sums = cm.connection_sums(D)
     k = len(D) * (cm.field.q - 1) // cm.N
     cert = srg_from_spectrum(cm.field.q, k, sums, source=source)
-    agrees = certificates_agree(cert, difference_count_oracle(cm, D)) if oracle else None
+    agrees = cert == difference_count_oracle(cm, D) if oracle else None
     return tuple(dict.fromkeys(sums)), cert, agrees
 
 
@@ -618,13 +619,17 @@ def test_verify_union_passes_only_distinct_sums(monkeypatch):
 
 
 def test_certificates_agree_rule():
+    # two routes agree exactly when their results are equal: two Nones do, a None and a certificate do not
     cert = srg_from_spectrum(4096, 273, [17, -15])
-    assert certificates_agree(None, None)
-    assert not certificates_agree(cert, None)
-    assert not certificates_agree(None, cert)
-    # the route that produced a certificate is not graph data
-    assert certificates_agree(cert, dataclasses.replace(cert, source="ORACLE"))
-    assert not certificates_agree(cert, srg_from_spectrum(16, 5, [1, -3]))
+    missing = srg_from_spectrum(4096, 273, [17, -14])
+    assert missing is None and missing == None
+    assert not cert == None
+    assert not None == cert
+    # the route that produced a certificate is not graph data, and repr still shows it
+    oracle = dataclasses.replace(cert, source="ORACLE")
+    assert cert == oracle and hash(cert) == hash(oracle) and len({cert, oracle}) == 1
+    assert cert.same_graph_data(oracle) and repr(cert) != repr(oracle)
+    assert cert != srg_from_spectrum(16, 5, [1, -3])
 
 
 def test_oracle_common_neighbor_spot_check():
@@ -661,7 +666,6 @@ def test_predicted_prime_power_small_and_large_m():
     sp = predicted_spectrum_prime_power(2, 7, 2)
     assert sp.integer_values() == [585, -439]
     assert (sp.v, sp.k, sp.N) == (2**21, (2**21 - 1) // 7, 49)
-    assert sp.two_valued and sp.collapse_holds()
 
 
 def _accepted_predictions():
@@ -710,7 +714,6 @@ def test_predicted_prime_power_certificate_matches_parameters():
 def test_predicted_two_primes_values():
     sp = predicted_spectrum_two_primes(2, 3, 5, 2)
     assert sp.integer_values() == [17, -15]
-    assert sp.collapse_holds() and sp.two_valued
     named = dict(sp.values)
     assert named["c_one"] == named["c_plus"] == 17
     assert named["c_three"] == named["c_minus"] == -15
@@ -804,7 +807,7 @@ def test_index2_predictions_meet_the_exact_route_inside_the_field_cap():
         distinct, cert, _ = srg_engine.verify_union(cm, D, "SPECTRUM", oracle=False)
         key = (sp.p, sp.p1, sp.p2, sp.m)
         assert {z.to_int() for z in distinct} <= {val for _, val in sp.values}, key
-        assert certificates_agree(cert, sp.certificate()), key
+        assert cert == sp.certificate(), key
         srgs += cert is not None
     assert (len(predictions), srgs) == (32, 10)
 

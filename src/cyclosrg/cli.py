@@ -154,7 +154,7 @@ def _cmd_periods(args):
     for a, eta in enumerate(cm.periods()):
         z = eta.complex_embedding()
         integer = eta.to_int() if eta.is_rational_integer else None
-        rows.append({"a": a, "integer": integer, "coeffs": list(eta.coeffs), "re": z.real, "im": z.imag})
+        rows.append({"a": a, "integer": integer, "coeffs": eta.row.tolist(), "re": z.real, "im": z.imag})
     data = {"p": fld.p, "f": fld.f, "n": cm.N, "class_size": cm.class_size, "periods": rows}
     if args.tally:
         data["tally"] = cm.tally.tolist()
@@ -195,7 +195,7 @@ def _cmd_verify_srg(args):
         "v": fld.q,
         "k": k,
         # distinct connection sums, as ints when rational else coefficient lists
-        "spectrum": [s.to_int() if s.is_rational_integer else list(s.coeffs) for s in distinct],
+        "spectrum": [s.to_int() if s.is_rational_integer else s.row.tolist() for s in distinct],
         "certificate": None if cert is None else cert.to_json_dict(inputs=inputs),
         "oracle_ran": args.oracle,
         "oracle_agrees": oracle_agrees,

@@ -29,14 +29,15 @@ constant on the nonzero squares and constant on the non-squares, and is
 then u + v*eta0 with eta0 the sum of xi^t over the nonzero squares t.
 
 Periods and connection sums are (n, p) exponent-count matrices; they are
-folded to the power basis in numpy, one subtraction for all rows, and each
-row becomes a CyclotomicInteger from a tuple of Python ints, wrapped
-without the constructor's per-coefficient type check.
+folded to the power basis in numpy, one subtraction for all rows.  Each
+CyclotomicInteger views its row of the folded int64 matrix, which is
+read-only.  Which rows are rational integers, and their first coefficients,
+are read off the matrix in one step, so is_rational_integer and to_int make
+no numpy call per value.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 
 import numpy as np
@@ -61,71 +62,131 @@ def _checked_p(p: int) -> int:
     return p
 
 
+_INT64_SPAN = 1 << 63
+# a sum or a constructed value reads whether it is rational off its row the first time a query asks
+_UNKNOWN = object()
+
+
+def _dtype(lo: int, hi: int) -> type:
+    """int64 when every int in [lo, hi] fits in it, else object: storage depends on the value alone."""
+    return np.int64 if -_INT64_SPAN <= lo and hi < _INT64_SPAN else object
+
+
+def _canonical(coeffs: list[int]) -> tuple[np.ndarray, int]:
+    """Python ints as a read-only row of the dtype _dtype picks, and max |c|."""
+    lo, hi = min(coeffs), max(coeffs)
+    row = np.array(coeffs, dtype=_dtype(lo, hi))
+    row.setflags(write=False)
+    return row, max(-lo, hi)
+
+
 class CyclotomicInteger:
     """Exact element of Z[xi_p] in the power basis {xi^0, ..., xi^{p-2}}.
 
     For p = 2 this degenerates to a plain integer (basis {1}).
-    Instances are immutable and hashable.  Coefficients are stored as
-    Python ints; other integer types (numpy ints, bool) are converted by
-    operator.index, which refuses floats and strings rather than truncate.
-    Two elements of the same Z[xi_p] add; there is no other arithmetic.
+    Instances are immutable and hashable.  Coefficients are held in row, a
+    read-only 1-D numpy array: int64 when every coefficient fits, else an
+    object array of Python ints, so equal values always have rows of the
+    same dtype.  bound is an int >= every |coefficient|; a sum adds in int64
+    only while the two bounds add to less than 2^63, and in Python ints
+    otherwise, so no coefficient wraps.  coeffs gives the coefficients as a
+    tuple of Python ints.  The constructor converts other integer types
+    (numpy ints, bool) by operator.index, which refuses floats and strings
+    rather than truncate.  Two elements of the same Z[xi_p] add; there is no
+    other arithmetic.
     """
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "row", "bound", "_int")
 
     def __init__(self, p: int, coeffs: tuple[int, ...]):
         p = _checked_p(p)
-        coeffs = tuple(map(operator.index, coeffs))
+        coeffs = list(map(operator.index, coeffs))
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p = {p}")
         self.p = p
-        self.coeffs = coeffs
+        self.row, self.bound = _canonical(coeffs)
+        self._int = _UNKNOWN
 
     @classmethod
-    def _of(cls, p: int, coeffs: tuple[int, ...]) -> "CyclotomicInteger":
-        """Wrap p - 1 Python ints built in this module, skipping __init__'s checks."""
-        z = object.__new__(cls)
-        z.p, z.coeffs = p, coeffs
-        return z
+    def _of(cls, p: int, row: np.ndarray, bound: int, value=_UNKNOWN) -> "CyclotomicInteger":
+        """Wrap a read-only row built in this module, skipping __init__'s checks.
+
+        value is the int the row equals, None if it is not a rational integer, or _UNKNOWN.
+        """
+        self = object.__new__(cls)
+        self.p, self.row, self.bound, self._int = p, row, bound, value
+        return self
 
     @classmethod
     def from_int(cls, p: int, n: int) -> "CyclotomicInteger":
         p = _checked_p(p)
-        return cls._of(p, (operator.index(n),) + (0,) * (p - 2))
+        n = operator.index(n)
+        row = np.zeros(p - 1, dtype=_dtype(n, n))
+        row[0] = n
+        row.setflags(write=False)
+        return cls._of(p, row, abs(n), n)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(self.row.tolist())
 
     def __add__(self, other):
         if not isinstance(other, CyclotomicInteger):
             return NotImplemented
         if other.p != self.p:
             raise ValueError("mixed cyclotomic orders")
-        return CyclotomicInteger._of(self.p, tuple(map(operator.add, self.coeffs, other.coeffs)))
+        bound = self.bound + other.bound
+        if bound < _INT64_SPAN:
+            row = self.row + other.row
+            row.setflags(write=False)
+        else:
+            row, bound = _canonical([x + y for x, y in zip(self.row.tolist(), other.row.tolist())])
+        return CyclotomicInteger._of(self.p, row, bound)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.is_rational_integer and self.coeffs[0] == other
+            value = self._value()
+            return value is not None and value == other
         if isinstance(other, CyclotomicInteger):
-            return self.p == other.p and self.coeffs == other.coeffs
+            if self.p != other.p:
+                return False
+            a, b = self.row, other.row
+            # the bytes of an object row are pointers, not values
+            if a.dtype.hasobject or b.dtype.hasobject:
+                return a.tolist() == b.tolist()
+            return a.tobytes() == b.tobytes()
         return NotImplemented
 
     def __hash__(self):
         # a rational value equals its int, so it hashes like it
-        return hash(self.coeffs[0]) if self.is_rational_integer else hash((self.p, self.coeffs))
+        value = self._value()
+        if value is not None:
+            return hash(value)
+        return hash(tuple(self.row.tolist()) if self.row.dtype.hasobject else self.row.tobytes())
 
     def __repr__(self):
-        if self.is_rational_integer:
-            return f"CyclotomicInteger(p={self.p}, {self.coeffs[0]})"
+        value = self._value()
+        if value is not None:
+            return f"CyclotomicInteger(p={self.p}, {value})"
         return f"CyclotomicInteger(p={self.p}, coeffs={self.coeffs})"
 
     # structure queries
 
+    def _value(self) -> int | None:
+        """The int self equals, or None if it is not a rational integer; read off the row once."""
+        if self._int is _UNKNOWN:
+            self._int = None if self.row[1:].any() else int(self.row[0])
+        return self._int
+
     @property
     def is_rational_integer(self) -> bool:
-        return not any(itertools.islice(self.coeffs, 1, None))
+        return self._value() is not None
 
     def to_int(self) -> int:
-        if not self.is_rational_integer:
+        value = self._value()
+        if value is None:
             raise ValueError(f"not a rational integer: {self!r}")
-        return self.coeffs[0]
+        return value
 
     def quadratic_coordinates(self) -> tuple[int, int] | None:
         """(u, v) with self = u + v*eta0 if self lies in Q(sqrt(p*)), else None; (c_0, 0) for p = 2.
@@ -136,25 +197,38 @@ class CyclotomicInteger:
         """
         p = self.p
         if p == 2:
-            return self.coeffs[0], 0
-        # Python ints in an object array: as fast here as int64, and exact at any size
-        counts = np.array(self.coeffs + (0,), dtype=object)
+            return int(self.row[0]), 0
+        counts = np.append(self.row, 0)
         square = np.zeros(p, dtype=bool)
         square[np.arange(1, (p + 1) // 2, dtype=np.int64) ** 2 % p] = True
         a, b = counts[square], counts[1:][~square[1:]]
         if (a != a[0]).any() or (b != b[0]).any():
             return None
-        return counts[0] - b[0], a[0] - b[0]
+        # the differences in Python ints: in int64 they could wrap
+        c0, a0, b0 = int(counts[0]), int(a[0]), int(b[0])
+        return c0 - b0, a0 - b0
 
     def complex_embedding(self) -> complex:
         """Numeric value under xi_p = exp(2*pi*i/p); for cross-checks only."""
         xs = np.exp(2j * np.pi * np.arange(self.p - 1) / self.p)
-        return complex(np.dot(np.array(self.coeffs, dtype=np.float64), xs))
+        return complex(np.dot(self.row.astype(np.float64), xs))
 
 
-def _fold_rows(p: int, counts: np.ndarray) -> list[CyclotomicInteger]:
-    """One element per row of an (n, p) exponent-count matrix, folded in one pass."""
-    return [CyclotomicInteger._of(p, tuple(row)) for row in (counts[:, :-1] - counts[:, -1:]).tolist()]
+def _fold_rows(p: int, counts: np.ndarray, total: int) -> list[CyclotomicInteger]:
+    """One element per row of an (n, p) exponent-count matrix, folded in one pass.
+
+    Each row counts total elements, so each count lies in [0, total] and
+    total bounds every folded coefficient.  Each element views its row of
+    the read-only folded matrix, and gets its int value, or None, from one
+    pass over the matrix.
+    """
+    folded = counts[:, :-1] - counts[:, -1:]
+    folded.setflags(write=False)
+    irrational, firsts = folded[:, 1:].any(axis=1).tolist(), folded[:, 0].tolist()
+    return [
+        CyclotomicInteger._of(p, row, total, None if irr else first)
+        for row, irr, first in zip(folded, irrational, firsts)
+    ]
 
 
 class ClassMap:
@@ -224,7 +298,7 @@ class ClassMap:
         return (reps, orbit_of) if cheaper(len(reps)) else None
 
     def periods(self) -> list[CyclotomicInteger]:
-        return _fold_rows(self.field.p, self.tally)
+        return _fold_rows(self.field.p, self.tally, self.class_size)
 
     @property
     def negation_shift(self) -> int:
@@ -251,7 +325,7 @@ class ClassMap:
         acc = np.zeros_like(self.tally)
         for i in d:
             acc += doubled[i : i + self.N]
-        return _fold_rows(self.field.p, acc)
+        return _fold_rows(self.field.p, acc, len(d) * self.class_size)
 
     # kept without a caller in src/: the perfbench tracer wraps it by name and the oracle tests read it
     def connection_set_elements(self, D) -> np.ndarray:

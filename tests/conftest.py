@@ -60,6 +60,11 @@ def fold(p: int, counts) -> CyclotomicInteger:
     return CyclotomicInteger(p, [c - counts[-1] for c in counts[:-1]])
 
 
+def tuple_sum(x: CyclotomicInteger, y: CyclotomicInteger) -> tuple[int, ...]:
+    """x + y coefficient by coefficient in Python ints: the reference for CyclotomicInteger's sum."""
+    return tuple(a + b for a, b in zip(x.coeffs, y.coeffs))
+
+
 def neg(z: CyclotomicInteger) -> CyclotomicInteger:
     return CyclotomicInteger(z.p, [-c for c in z.coeffs])
 

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclosrg import cyclotomy
 from cyclosrg.cyclotomy import ClassMap, CyclotomicInteger, classify
@@ -14,7 +14,7 @@ from cyclosrg.finite_field import SIZE_CAP, build_field
 from cyclosrg.ntheory import is_prime
 from cyclosrg.srg_engine import _sum_product, difference_count_oracle, srg_from_spectrum
 
-from conftest import conj, divisors, fold, get_field, neg
+from conftest import conj, divisors, fold, get_field, neg, tuple_sum
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,60 @@ def test_ring_constructor_normalizes_to_int():
     assert json.dumps(CyclotomicInteger(5, (False, np.int16(-3), 7, np.uint64(2))).coeffs) == "[0, -3, 7, 2]"
 
 
+# coefficients at and past the edges of int64; a sum adds in int64 only while no coefficient can leave it
+_EDGE_COEFFS = [0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 10**30, -(10**30)]
+
+
+@st.composite
+def _edge_triples(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    coeff = st.one_of(st.sampled_from(_EDGE_COEFFS), st.integers(-(2**64), 2**64), st.integers(-9, 9))
+    row = st.lists(coeff, min_size=p - 1, max_size=p - 1).map(tuple)
+    return p, draw(row), draw(row), draw(row)
+
+
+def _assert_canonical(z, coeffs):
+    # the value, its storage, and the row's read-only flag, against a value built directly from coeffs
+    want = CyclotomicInteger(z.p, coeffs)
+    assert z.coeffs == coeffs and all(type(c) is int for c in z.coeffs)
+    json.dumps(z.coeffs)
+    fits = all(-(2**63) <= c < 2**63 for c in coeffs)
+    assert z.row.dtype == want.row.dtype == (np.int64 if fits else object)
+    assert z == want and hash(z) == hash(want)
+    assert z.bound >= max(map(abs, coeffs))
+    assert not z.row.flags.writeable
+    with pytest.raises(ValueError):
+        z.row[0] = 0
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_edge_triples())
+@example((3, (2**63 - 1, 1), (1, 0), (0, 0)))  # crosses 2^63, then cancels back into int64
+@example((3, (-(2**63), 5), (-1, 0), (2**62, 0)))  # below -2^63, then back
+@example((2, (2**62,), (2**62,), (-(2**62),)))  # 2^63 exactly, one past the largest int64
+@example((5, (10**30, 0, 0, -(10**30)), (-(10**30), 1, 2, 10**30), (0, 0, 0, 0)))  # 10^30 cancels to a small row
+@example((3, (2**62, -(2**62)), (2**62 - 1, -(2**62)), (0, 0)))  # the largest int64 sum, and the most negative
+def test_sums_are_exact_across_the_int64_boundary(triple):
+    p, xs, ys, zs = triple
+    x, y, z = (CyclotomicInteger(p, c) for c in (xs, ys, zs))
+    for value, coeffs in ((x, xs), (y, ys), (z, zs)):
+        _assert_canonical(value, coeffs)
+    s = x + y
+    _assert_canonical(s, tuple_sum(x, y))
+    assert not np.shares_memory(s.row, x.row) and not np.shares_memory(s.row, y.row)
+    # a sum that crossed the int64 edge and cancels back holds an int64 row again
+    back = s + neg(y)
+    _assert_canonical(back, xs)
+    assert back == x and hash(back) == hash(x)
+    _assert_canonical(s + z, tuple_sum(s, z))
+    # a rational value equals and hashes like its int at any size
+    n = xs[0]
+    r = CyclotomicInteger.from_int(p, n)
+    _assert_canonical(r, (n,) + (0,) * (p - 2))
+    assert r == n and hash(r) == hash(n) and r.to_int() == n and type(r.to_int()) is int
+    assert (r + x == x + r) and (r + neg(r)) == 0
+
+
 def test_rational_values_hash_like_their_int():
     # a value that equals an int must hash like it, or dicts and sets keep both
     for p in (2, 3, 7):
@@ -186,10 +240,15 @@ def test_rational_values_hash_like_their_int():
     assert len({CyclotomicInteger(3, (2, 1)), CyclotomicInteger(3, (2, 1)), 2}) == 2
 
 
+# wide rows at the random-unions cap N p <= 2^18: up to 65520 coefficients per value
+_WIDE_SHAPES = [(65521, 1, 4, (0, 3)), (40961, 1, 5, (2, 4)), (8191, 1, 18, (2, 6, 7, 8, 11, 15, 16, 17))]
+
+
 def test_count_matrix_rows_match_exponent_counts():
     # periods and connection sums are folded from their count matrices in numpy;
     # each row must be the element the scalar fold gives for it
-    for p, f, N, D in [(2, 4, 5, (0, 2)), (2, 6, 9, (0, 3, 6)), (3, 4, 8, (0, 4, 5)), (5, 2, 6, (1, 2)), (13, 1, 4, (0, 2)), (4093, 1, 6, (0, 3))]:
+    small = [(2, 4, 5, (0, 2)), (2, 6, 9, (0, 3, 6)), (3, 4, 8, (0, 4, 5)), (5, 2, 6, (1, 2)), (13, 1, 4, (0, 2)), (4093, 1, 6, (0, 3))]
+    for p, f, N, D in small + _WIDE_SHAPES:
         cm = classify(get_field(p, f), N)
         tally = np.asarray(cm.tally)
         rows = [sum(tally[(a + i) % N] for i in D) for a in range(N)]
@@ -198,6 +257,7 @@ def test_count_matrix_rows_match_exponent_counts():
             for value, row in zip(values, counts):
                 want = fold(p, row)
                 assert value == want and hash(value) == hash(want), (p, f, N, D)
+                assert value.row.dtype == np.int64 and not value.row.flags.writeable
                 assert all(type(c) is int for c in value.coeffs)
                 json.dumps(value.coeffs)
 
@@ -287,7 +347,7 @@ def test_class_layout_matches_log_mod_n():
 
 
 def test_period_sum_is_minus_one():
-    for p, f, N in [(2, 4, 5), (2, 6, 9), (3, 2, 8), (3, 4, 16), (5, 2, 12), (7, 2, 16), (13, 1, 12)]:
+    for p, f, N in [(2, 4, 5), (2, 6, 9), (3, 2, 8), (3, 4, 16), (5, 2, 12), (7, 2, 16), (13, 1, 12), (65521, 1, 4)]:
         cm = classify(get_field(p, f), N)
         total = sum(cm.periods(), CyclotomicInteger.from_int(p, 0))
         assert total == -1, (p, f, N)

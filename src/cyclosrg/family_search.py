@@ -166,8 +166,7 @@ def _pair_reasons(p: int, ells: tuple[int], h: int, orders: dict[int, int]) -> t
 def _pair_hit(p: int, ells: tuple[int], h: int) -> FamilyCheck:
     (p1,) = ells
     b = 1 if p1 % 8 == 3 else -1
-    a_r = (p1 - 1) // 2 if b == 1 else (p1 + 1) // 2
-    a_s = -((p1 + 1) // 2) if b == 1 else -((p1 - 1) // 2)
+    a_r, a_s = (p1 - b) // 2, -(p1 + b) // 2
     return _family_hit(p, p1, None, h, b, a_r, a_s)
 
 

@@ -1,6 +1,7 @@
 """Shared test helpers: a build cache so suites can reuse field tables,
 scalar references that read a field only through its tables or its digits,
-the Z[xi_p] operations CyclotomicInteger leaves out, and Fraction references
+the Z[xi_p] operations CyclotomicInteger leaves out (sums and products also
+as Python-int coefficient tuples, which may pass int64), and Fraction references
 of the closed-form eigenvalues."""
 
 from fractions import Fraction
@@ -54,15 +55,30 @@ def power(fld, x: int, e: int) -> int:
     return int(fld.antilog[fld.log[x] * e % (fld.q - 1)])
 
 
-def fold(p: int, counts) -> CyclotomicInteger:
-    """sum(counts[j] xi^j, j = 0..p-1) in the power basis, by 1 + xi + ... + xi^(p-1) = 0."""
+def folded(counts) -> tuple[int, ...]:
+    """sum(counts[j] xi^j, j = 0..p-1) in the power basis as Python ints, by 1 + xi + ... + xi^(p-1) = 0."""
     counts = list(counts)
-    return CyclotomicInteger(p, [c - counts[-1] for c in counts[:-1]])
+    return tuple(c - counts[-1] for c in counts[:-1])
+
+
+def fold(p: int, counts) -> CyclotomicInteger:
+    return CyclotomicInteger(p, folded(counts))
 
 
 def tuple_sum(x: CyclotomicInteger, y: CyclotomicInteger) -> tuple[int, ...]:
     """x + y coefficient by coefficient in Python ints: the reference for CyclotomicInteger's sum."""
     return tuple(a + b for a, b in zip(x.coeffs, y.coeffs))
+
+
+def tuple_product(x: CyclotomicInteger, y: CyclotomicInteger) -> tuple[int, ...]:
+    """x y by the schoolbook rule in Python ints, folded to the power basis; the ring has no product
+    of its own, so this is the reference for every product, at any size."""
+    counts = [0] * x.p
+    for i, a in enumerate(x.coeffs):
+        if a:
+            for j, b in enumerate(y.coeffs):
+                counts[(i + j) % x.p] += a * b
+    return folded(counts)
 
 
 def neg(z: CyclotomicInteger) -> CyclotomicInteger:

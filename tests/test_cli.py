@@ -361,6 +361,11 @@ _GOLDEN = [
     ("verify-srg --p 7 --f 1 --n 3 --classes 0 --oracle --format json", 1, "e660719c782a62fe28f061998d5431281e9667a6099162c6a77d9820e011ca91"),
     ("verify-srg --p 7 --f 1 --n 3 --classes 0 --oracle --format tsv", 1, "b208ade34d9dd2a83a9cc346b098175d94a12e721486fd3339d50476a5e00763"),
     ("verify-srg --p 7 --f 1 --n 3 --classes 0 --oracle --format pretty", 1, "5a3f0b2eadbd36560ebf573637df2da1b206e9a4bbb1434bcc40f63d8c245c33"),
+    # wide coefficient rows: two 65520-coefficient spectrum values (about 426 KB), and four
+    # 4092-coefficient periods; the periods' re/im floats come from numpy's dot, so a new
+    # BLAS build may need that digest re-taken
+    ("verify-srg --p 65521 --f 1 --n 4 --classes 0,2 --format json", 0, "fd4eca93aaff68e2b0d48c9f5e0b40a64675efbbe8b34853bcc13a6b7a39a40e"),
+    ("periods --p 4093 --f 1 --n 4 --format json", 0, "f8e8cc9043a392721683ab5bf43668a003d28fde0198beb971ff53effdbc0599"),
     ("verify-example --name delange --format json", 0, "aefdafc57db2c6216d45981f9085f0a0d5c3887ab3d220d228509a90e4c819ab"),
     ("verify-example --name delange --format tsv", 0, "cbb13831b266cff027ee5336d09ede9b6dd1178d00de01e20afe63509207817f"),
     ("verify-example --name delange --format pretty", 0, "b4a7abdd76cdab90762dbc44659478371c8dbc0599bbc9291d7739929a1b5d83"),

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cyclosrg import cyclotomy
 from cyclosrg.cyclotomy import ClassMap, CyclotomicInteger, classify
@@ -14,7 +14,7 @@ from cyclosrg.finite_field import SIZE_CAP, build_field
 from cyclosrg.ntheory import is_prime
 from cyclosrg.srg_engine import _sum_product, difference_count_oracle, srg_from_spectrum
 
-from conftest import conj, divisors, fold, get_field, neg, tuple_sum
+from conftest import conj, divisors, fold, folded, get_field, neg, tuple_product, tuple_sum
 
 
 # ---------------------------------------------------------------------------
@@ -32,15 +32,7 @@ def test_ring_canonical_fold():
 
 
 def _reference_mul(a, b):
-    # schoolbook product in Z[xi_p], one coefficient pair at a time; the ring
-    # has no product of its own, so this is the reference for every product
-    p = a.p
-    counts = [0] * p
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j, bj in enumerate(b.coeffs):
-                counts[(i + j) % p] += ai * bj
-    return fold(p, counts)
+    return CyclotomicInteger(a.p, tuple_product(a, b))
 
 
 def test_ring_ops_small():
@@ -95,20 +87,68 @@ def test_ring_conjugation_is_involution_and_multiplicative():
 
 
 _PRIMES_48 = [p for p in range(2, 48) if is_prime(p)]
-_BOUNDS = [0, 1, 9, 2**31, 2**62, 10**30]
+# draws within +-bound, cut to int64 at the last one: rows up to the int64 edges
+_BOUNDS = [0, 1, 9, 2**31, 2**62, 2**63]
+_INT64 = range(-(2**63), 2**63)
+# coefficients at the edges of int64, and just past them
+_EDGE_COEFFS = [0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63)]
+_PAST_INT64 = [2**63, -(2**63) - 1, 10**30, -(10**30)]
 
 
-def _quadratic_element(p, u, v):
+def _fits(coeffs) -> bool:
+    return all(c in _INT64 for c in coeffs)
+
+
+def _within(bound):
+    return st.integers(max(-bound, -(2**63)), min(bound, 2**63 - 1))
+
+
+def _built(p, coeffs):
+    """CyclotomicInteger(p, coeffs) where every coefficient fits in int64, else refused (None)."""
+    if _fits(coeffs):
+        return CyclotomicInteger(p, coeffs)
+    with pytest.raises(ValueError, match="coefficients must lie"):
+        CyclotomicInteger(p, coeffs)
+    return None
+
+
+def _assert_canonical(z, coeffs):
+    # the value, its int64 row, and the row's read-only flag, against a value built directly from coeffs
+    want = CyclotomicInteger(z.p, coeffs)
+    assert z.coeffs == coeffs and all(type(c) is int for c in z.coeffs)
+    json.dumps(z.coeffs)
+    assert z.row.dtype == want.row.dtype == np.int64
+    assert z == want and hash(z) == hash(want)
+    assert z.bound >= max(map(abs, coeffs))
+    assert not z.row.flags.writeable
+    with pytest.raises(ValueError):
+        z.row[0] = 0
+
+
+def _checked_sum(x, y):
+    """x + y against the sum in Python ints: exact where every coefficient fits in int64, else refused (None)."""
+    want = tuple_sum(x, y)
+    if not _fits(want):
+        with pytest.raises(ValueError, match="coefficients must lie"):
+            x + y
+        return None
+    s = x + y
+    _assert_canonical(s, want)
+    assert not np.shares_memory(s.row, x.row) and not np.shares_memory(s.row, y.row)
+    return s
+
+
+def _quadratic_counts(p, u, v):
     # u + v*eta0 in exponent counts: u at 0, v on the nonzero squares
     squares = {t * t % p for t in range(1, p)}
-    return fold(p, [u] + [v if t in squares else 0 for t in range(1, p)])
+    return [u] + [v if t in squares else 0 for t in range(1, p)]
 
 
 @st.composite
 def _ring_pairs(draw):
     p = draw(st.sampled_from(_PRIMES_48))
     bound = draw(st.sampled_from(_BOUNDS))
-    coeffs = st.lists(st.integers(-bound, bound), min_size=p - 1, max_size=p - 1).map(tuple)
+    coeffs = st.lists(_within(bound), min_size=p - 1, max_size=p - 1).map(tuple)
     return CyclotomicInteger(p, draw(coeffs)), CyclotomicInteger(p, draw(coeffs))
 
 
@@ -117,37 +157,51 @@ def _subfield_pairs(draw):
     # two elements u + v eta0, u' + v' eta0 of Q(sqrt(p*)): v' = -v makes x + y
     # rational, and u' = u - v then makes x y rational too; v' = v with
     # u' = v - u makes x y rational but not x + y (unless v = 0)
+    # the coordinates may pass int64; a pair whose rows do not fit is drawn again
     p = draw(st.sampled_from([p for p in _PRIMES_48 if p > 2]))
     bound = draw(st.sampled_from(_BOUNDS))
-    u, v = draw(st.integers(-bound, bound)), draw(st.integers(-bound, bound))
+    u, v = draw(_within(bound)), draw(_within(bound))
     mode = draw(st.sampled_from(["both", "sum", "product"]))
     if mode == "product":
-        return _quadratic_element(p, u, v), _quadratic_element(p, v - u, v)
-    u2 = u - v if mode == "both" else draw(st.integers(-bound, bound))
-    return _quadratic_element(p, u, v), _quadratic_element(p, u2, -v)
+        coords = (u, v), (v - u, v)
+    else:
+        coords = (u, v), (u - v if mode == "both" else draw(_within(bound)), -v)
+    rows = [folded(_quadratic_counts(p, *uv)) for uv in coords]
+    assume(all(map(_fits, rows)))
+    return tuple(CyclotomicInteger(p, row) for row in rows)
+
+
+# u, v and delta at the int64 edges, inside it and past it
+_COORDS = st.one_of(st.sampled_from(_EDGE_COEFFS + _PAST_INT64), _within(2**63), st.integers(-9, 9))
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.sampled_from([p for p in _PRIMES_48 if p > 3]), st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
-       st.integers(1, 46), st.integers(-10**30, 10**30).filter(bool))
+@given(st.sampled_from([p for p in _PRIMES_48 if p > 3]), _COORDS, _COORDS, st.integers(1, 46), _COORDS.filter(bool))
 def test_quadratic_coordinates_recover_subfield_elements(p, u, v, t, delta):
-    x = _quadratic_element(p, u, v)
+    # an element is built when its row fits in int64; its coordinates are exact even past int64
+    x = _built(p, folded(_quadratic_counts(p, u, v)))
+    if x is None:
+        return
     assert x.quadratic_coordinates() == (u, v)
     # moving one exponent count breaks the constancy on its coset (p > 3: cosets of size >= 2)
     counts = [0] * p
     counts[t % (p - 1) + 1] = delta
-    assert (x + fold(p, counts)).quadratic_coordinates() is None
+    moved = _built(p, folded(counts))
+    total = None if moved is None else _checked_sum(x, moved)
+    if total is not None:
+        assert total.quadratic_coordinates() is None
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.one_of(_ring_pairs(), _subfield_pairs()))
 def test_subfield_sum_product_matches_schoolbook(pair):
-    # the subfield route of srg_from_spectrum against the schoolbook x + y, x y
+    # the subfield route of srg_from_spectrum against the schoolbook x + y, x y in
+    # Python ints, whose coordinates' products pass 2^64
     x, y = pair
-    total, product = x + y, _reference_mul(x, y)
+    total, product = tuple_sum(x, y), tuple_product(x, y)
     want = None
-    if total.is_rational_integer and product.is_rational_integer:
-        want = (total.to_int(), product.to_int())
+    if not any(total[1:]) and not any(product[1:]):
+        want = (total[0], product[0])
     assert _sum_product(x, y) == want
     assert _sum_product(y, x) == want
 
@@ -177,58 +231,69 @@ def test_ring_constructor_normalizes_to_int():
     assert json.dumps(CyclotomicInteger(5, (False, np.int16(-3), 7, np.uint64(2))).coeffs) == "[0, -3, 7, 2]"
 
 
-# coefficients at and past the edges of int64; a sum adds in int64 only while no coefficient can leave it
-_EDGE_COEFFS = [0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 10**30, -(10**30)]
-
-
 @st.composite
 def _edge_triples(draw):
+    # a sum adds in int64 only while no coefficient can leave it, and refuses a coefficient that does
     p = draw(st.sampled_from([2, 3, 5, 7, 13]))
-    coeff = st.one_of(st.sampled_from(_EDGE_COEFFS), st.integers(-(2**64), 2**64), st.integers(-9, 9))
+    coeff = st.one_of(st.sampled_from(_EDGE_COEFFS), _within(2**63), st.integers(-9, 9))
     row = st.lists(coeff, min_size=p - 1, max_size=p - 1).map(tuple)
     return p, draw(row), draw(row), draw(row)
 
 
-def _assert_canonical(z, coeffs):
-    # the value, its storage, and the row's read-only flag, against a value built directly from coeffs
-    want = CyclotomicInteger(z.p, coeffs)
-    assert z.coeffs == coeffs and all(type(c) is int for c in z.coeffs)
-    json.dumps(z.coeffs)
-    fits = all(-(2**63) <= c < 2**63 for c in coeffs)
-    assert z.row.dtype == want.row.dtype == (np.int64 if fits else object)
-    assert z == want and hash(z) == hash(want)
-    assert z.bound >= max(map(abs, coeffs))
-    assert not z.row.flags.writeable
-    with pytest.raises(ValueError):
-        z.row[0] = 0
-
-
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(_edge_triples())
-@example((3, (2**63 - 1, 1), (1, 0), (0, 0)))  # crosses 2^63, then cancels back into int64
-@example((3, (-(2**63), 5), (-1, 0), (2**62, 0)))  # below -2^63, then back
-@example((2, (2**62,), (2**62,), (-(2**62),)))  # 2^63 exactly, one past the largest int64
-@example((5, (10**30, 0, 0, -(10**30)), (-(10**30), 1, 2, 10**30), (0, 0, 0, 0)))  # 10^30 cancels to a small row
+@example((3, (2**63 - 1, 1), (-1, 0), (2, 0)))  # crosses 2^63 in bound and lands at 2^63 - 2; adding z then passes 2^63
+@example((3, (-(2**63), 5), (1, 0), (-1, 0)))  # below -2^63 in bound, back to -2^63 + 1, then to -2^63 exactly
+@example((2, (2**62,), (2**62,), (-(2**62),)))  # 2^63 exactly is refused; y + z crosses in bound and cancels to 0
+@example((5, (2**63 - 1, 0, 0, -(2**63)), (-(2**63) + 1, 1, 2, 2**63 - 1), (0, 0, 0, 0)))  # the widest rows cancel to a small one
 @example((3, (2**62, -(2**62)), (2**62 - 1, -(2**62)), (0, 0)))  # the largest int64 sum, and the most negative
 def test_sums_are_exact_across_the_int64_boundary(triple):
     p, xs, ys, zs = triple
     x, y, z = (CyclotomicInteger(p, c) for c in (xs, ys, zs))
     for value, coeffs in ((x, xs), (y, ys), (z, zs)):
         _assert_canonical(value, coeffs)
-    s = x + y
-    _assert_canonical(s, tuple_sum(x, y))
-    assert not np.shares_memory(s.row, x.row) and not np.shares_memory(s.row, y.row)
-    # a sum that crossed the int64 edge and cancels back holds an int64 row again
-    back = s + neg(y)
-    _assert_canonical(back, xs)
-    assert back == x and hash(back) == hash(x)
-    _assert_canonical(s + z, tuple_sum(s, z))
-    # a rational value equals and hashes like its int at any size
+    # both groupings: a sum refused in one may stay inside int64 in the other
+    s, t = _checked_sum(x, y), _checked_sum(y, z)
+    if s is not None:
+        _checked_sum(s, z)
+        if -(2**63) not in ys:
+            # a sum that crossed the int64 edge in bound and cancels back is x again
+            back = _checked_sum(s, neg(y))
+            assert back == x and hash(back) == hash(x)
+    if t is not None:
+        _checked_sum(x, t)
+    # a rational value equals and hashes like its int, up to the edges of int64
     n = xs[0]
     r = CyclotomicInteger.from_int(p, n)
     _assert_canonical(r, (n,) + (0,) * (p - 2))
     assert r == n and hash(r) == hash(n) and r.to_int() == n and type(r.to_int()) is int
-    assert (r + x == x + r) and (r + neg(r)) == 0
+    assert _checked_sum(r, x) == _checked_sum(x, r)
+    if -n in _INT64:
+        assert r + CyclotomicInteger.from_int(p, -n) == 0
+
+
+def test_coefficients_outside_int64_are_refused():
+    for c in _PAST_INT64:
+        for p in (2, 3, 7):
+            assert _built(p, (c,) + (0,) * (p - 2)) is None and _built(p, (0,) * (p - 2) + (c,)) is None
+            with pytest.raises(ValueError, match="coefficients must lie"):
+                CyclotomicInteger.from_int(p, c)
+    # the sums just past either edge, and the farthest two int64 values reach
+    top, bottom = CyclotomicInteger.from_int(3, 2**63 - 1), CyclotomicInteger.from_int(3, -(2**63))
+    for x, y in [(top, CyclotomicInteger.from_int(3, 1)), (bottom, CyclotomicInteger.from_int(3, -1)), (top, top), (bottom, bottom)]:
+        assert _checked_sum(x, y) is None
+
+
+def test_equality_needs_one_order_and_a_value():
+    # values of two orders differ even where their coefficients agree; a float or a
+    # string is no value, so == falls back to identity through NotImplemented
+    for n in (0, 1, 5):
+        assert CyclotomicInteger.from_int(3, n) != CyclotomicInteger.from_int(5, n)
+    assert CyclotomicInteger(3, (0, 1)) != CyclotomicInteger(5, (0, 1, 0, 0))
+    z = CyclotomicInteger.from_int(3, 1)
+    for other in (1.5, 1.0, "1"):
+        assert z.__eq__(other) is NotImplemented
+        assert (z == other) is False and (other == z) is False and z != other
 
 
 def test_rational_values_hash_like_their_int():

@@ -93,6 +93,14 @@ def test_spectrum_rejects_an_empty_multiplicity():
     assert srg_from_spectrum(4, 3, [1, -1]) is None
 
 
+def test_certificate_refuses_a_zero_discriminant():
+    # v = k + 1 with sum -2 and product 1 passes the lambda, mu and counting checks
+    # (lambda = k - 1, mu = k + 1, both sides of the identity 0), but disc = 0 gives
+    # one value, not two; past the refusal, r = s would divide by zero
+    for k in (1, 2, 5, 16, 99):
+        assert srg_engine._certificate(k + 1, k, -2, 1, "X") is None
+
+
 def test_spectrum_conference_paley5():
     # eigenvalues (-1 +- sqrt(5))/2 as exact cyclotomic integers over p = 5
     cm = classify(get_field(5, 1), 2)

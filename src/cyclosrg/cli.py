@@ -239,10 +239,10 @@ def _cmd_verify_example(args):
 
 def _cmd_gauss_semiprimitive(args):
     g = semiprimitive_gauss(args.p, args.n, args.f)
-    data = {"p": g.p, "n": g.N, "f": g.r, "t": g.t, "s": g.s, "sign": g.sign, "value": g.value()}
+    data = {"p": g.p, "n": g.N, "f": g.f, "t": g.t, "s": g.s, "sign": g.sign, "value": g.value()}
     pretty = [
         f"semi-primitive Gauss sum over F_{args.p}^{args.f} at character order {args.n}",
-        f"g = {g.sign:+d} * {g.p}^{g.r // 2} = {g.value()}  (t = {g.t}, s = {g.s})",
+        f"g = {g.sign:+d} * {g.p}^{g.f // 2} = {g.value()}  (t = {g.t}, s = {g.s})",
     ]
     return data, lambda: _records(data), lambda: pretty, 0
 
@@ -279,7 +279,7 @@ def _cmd_scan(args):
         title = f"triple scan p <= {args.p_max}, p1*p2 <= {args.n_max}"
 
     rows = [
-        (c.p, c.p1, c.p2, c.h, c.b, c.f1, f"({c.p}^f-1)/{c.p1 * (c.p2 or 1)}", c.r_formula, c.s_formula)
+        (c.p, c.p1, c.p2, c.h, c.b, c.f_m1, f"({c.p}^f-1)/{c.p1 * (c.p2 or 1)}", c.r_formula, c.s_formula)
         for c in report.hits
     ]
     title += f": {len(report.hits)} hits, {len(report.rejections)} rejections"

@@ -94,7 +94,9 @@ class CyclotomicInteger:
     Python ints.  The constructor converts other integer types
     (numpy ints, bool) by operator.index, which refuses floats and strings
     rather than truncate.  Two elements of the same Z[xi_p] add; there is no
-    other arithmetic.
+    other arithmetic.  A rational value equals its int and every rational
+    value with that int, of any order; an irrational value equals only a
+    value with the same row, so of the same order.
     """
 
     __slots__ = ("p", "row", "bound", "_int")
@@ -145,12 +147,14 @@ class CyclotomicInteger:
         return CyclotomicInteger._of(self.p, row, bound)
 
     def __eq__(self, other):
+        if isinstance(other, CyclotomicInteger):
+            if not other.is_rational_integer:
+                # an irrational row equals only itself: rows of two orders differ in length
+                return self.row.tobytes() == other.row.tobytes()
+            other = other.to_int()
         if isinstance(other, int):
             value = self._value()
             return value is not None and value == other
-        if isinstance(other, CyclotomicInteger):
-            # rows of two orders differ in length, so their bytes differ too
-            return self.row.tobytes() == other.row.tobytes()
         return NotImplemented
 
     def __hash__(self):

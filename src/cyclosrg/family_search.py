@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,8 +61,10 @@ class FamilyCheck:
 
     reasons lists every failing check; ok means there is none.  For passing
     candidates the witness carries the class number h, the pinned sign b,
-    and the predicted integer eigenvalues at m = 1 and m = 2; m > 2 members
-    are certified by order lifting (full order modulo p1^2 lifts to p1^m).
+    the field degree f_m1 at m = 1, and the predicted integer eigenvalues
+    r_m1, s_m1 at m = 1 and r_m2, s_m2 at m = 2; m > 2 members are certified
+    by order lifting (full order modulo p1^2 lifts to p1^m).  The JSON keys
+    are the field names and ok, with p2 left out of a pair.
     """
 
     p: int
@@ -71,11 +73,11 @@ class FamilyCheck:
     reasons: tuple[str, ...]
     h: int | None = None
     b: int | None = None
-    f1: int | None = None
-    r1: int | None = None
-    s1: int | None = None
-    r2: int | None = None
-    s2: int | None = None
+    f_m1: int | None = None
+    r_m1: int | None = None
+    s_m1: int | None = None
+    r_m2: int | None = None
+    s_m2: int | None = None
     r_formula: str | None = None
     s_formula: str | None = None
 
@@ -84,23 +86,9 @@ class FamilyCheck:
         return not self.reasons
 
     def to_json_dict(self) -> dict:
-        out = {
-            "p": self.p,
-            "p1": self.p1,
-            "ok": self.ok,
-            "reasons": list(self.reasons),
-            "h": self.h,
-            "b": self.b,
-            "f_m1": self.f1,
-            "r_m1": self.r1,
-            "s_m1": self.s1,
-            "r_m2": self.r2,
-            "s_m2": self.s2,
-            "r_formula": self.r_formula,
-            "s_formula": self.s_formula,
-        }
-        if self.p2 is not None:
-            out["p2"] = self.p2
+        out = asdict(self) | {"ok": self.ok}
+        if self.p2 is None:
+            del out["p2"]
         return out
 
 
@@ -119,10 +107,10 @@ def _family_hit(p: int, p1: int, p2: int | None, h: int, b: int, a_r: int, a_s: 
     sp1, sp2 = _predicted(p, p1, p2, 1), _predicted(p, p1, p2, 2)
     if sp1.gauss.b != b or sp2.gauss.b != b:
         raise AssertionError(f"family sign b = {b} disagrees with the index-2 Gauss sum")
-    r1, s1 = max(sp1.integer_values()), min(sp1.integer_values())
-    r2, s2 = max(sp2.integer_values()), min(sp2.integer_values())
+    r_m1, s_m1 = max(sp1.integer_values()), min(sp1.integer_values())
+    r_m2, s_m2 = max(sp2.integer_values()), min(sp2.integer_values())
     return FamilyCheck(
-        p, p1, p2, (), h=h, b=b, f1=sp1.gauss.f, r1=r1, s1=s1, r2=r2, s2=s2,
+        p, p1, p2, (), h=h, b=b, f_m1=sp1.gauss.f, r_m1=r_m1, s_m1=s_m1, r_m2=r_m2, s_m2=s_m2,
         r_formula=f"({a_r}*{p}^h0-1)/{sp1.N}", s_formula=f"({a_s}*{p}^h0-1)/{sp1.N}",
     )
 
@@ -378,17 +366,16 @@ class ExampleReport:
     """Outcome of one named-example verification run.
 
     spectrum lists the distinct exact connection sums (integers when all
-    sums are rational).  ok is True when the computed certificate exists,
-    matches the closed-form prediction, and survives the difference-count
-    oracle whenever the field is small enough to run it.
+    sums are rational), predicted_spectrum the closed-form values; the JSON
+    reads q and k off the example.  ok is True when the computed certificate
+    exists, matches the closed-form prediction, and survives the
+    difference-count oracle whenever the field is small enough to run it.
     """
 
     example: NamedExample
-    q: int
-    k: int
     spectrum: tuple
     certificate: SrgCertificate | None
-    predicted_values: tuple[int, ...]
+    predicted_spectrum: tuple[int, ...]
     predicted_matches: bool
     oracle_ran: bool
     oracle_agrees: bool | None
@@ -400,10 +387,10 @@ class ExampleReport:
         return {
             "name": ex.name,
             "ok": self.ok,
-            "q": self.q,
-            "k": self.k,
+            "q": ex.q,
+            "k": ex.k,
             "spectrum": list(self.spectrum),
-            "predicted_spectrum": list(self.predicted_values),
+            "predicted_spectrum": list(self.predicted_spectrum),
             "predicted_matches": self.predicted_matches,
             "oracle_ran": self.oracle_ran,
             "oracle_agrees": self.oracle_agrees,
@@ -429,12 +416,10 @@ def verify_named_example(name: str) -> ExampleReport:
         spectrum = tuple(sorted((val.to_int() for val in distinct), reverse=True))
     else:
         spectrum = tuple(repr(val) for val in distinct)
-    k = ex.k
     predicted = ex.predicted()
-    predicted_values = tuple(predicted.integer_values())
     predicted_matches = cert is not None and cert == predicted.certificate()
     ok = predicted_matches and oracle_agrees is not False
     return ExampleReport(
-        example=ex, q=field.q, k=k, spectrum=spectrum, certificate=cert, predicted_values=predicted_values,
+        example=ex, spectrum=spectrum, certificate=cert, predicted_spectrum=tuple(predicted.integer_values()),
         predicted_matches=predicted_matches, oracle_ran=oracle_ran, oracle_agrees=oracle_agrees, ok=ok,
     )

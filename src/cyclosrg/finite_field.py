@@ -221,26 +221,26 @@ class _LinearMap:
 def _power_table(p: int, f: int, mod_low: tuple[int, ...], seeds: np.ndarray, c: int, n: int) -> np.ndarray:
     """seeds[k] * c**j as table[j, k] for j < n, by doubling: rows [s, s+step) are c**s times rows [0, step).
 
-    Each doubling block is contiguous.  Every step works on encodings: x * c % p
-    at f = 1, else _LinearMap with the digit rows of multiplication by c**s.
+    Each doubling block is contiguous.  rows, the matrix of multiplication by
+    c**s, is squared after each step.  Every step works on encodings: x * c**s % p
+    at f = 1, else _LinearMap with those digit rows.
     """
     table = np.empty((n, len(seeds)), dtype=np.int64)
     table[0] = seeds
     linear = _LinearMap(p, f) if f >= 2 else None
-    c = list(_digits(c, p, f))
+    rows = _mul_rows(list(_digits(c, p, f)), mod_low, p)
     size = 1
     while size < n:
         step = min(size, n - size)
         # row slices of a C-ordered array are contiguous, so reshape gives views
         src, block = table[:step].reshape(-1), table[size : size + step].reshape(-1)
-        rows = _mul_rows(c, mod_low, p)
         if linear is None:
-            np.multiply(src, c[0], out=block)
+            np.multiply(src, rows[0, 0], out=block)
             block %= p
         else:
             linear.apply(rows, src, block)
-        # sizes double until the last step, so the next constant is c**2
-        c = (np.array(c, dtype=np.int64) @ rows % p).tolist()
+        # sizes double until the last step, so the next multiplier is the square
+        rows = rows @ rows % p
         size += step
     return table
 

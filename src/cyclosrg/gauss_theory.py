@@ -80,17 +80,17 @@ class Index2Case:
 
 @dataclass(frozen=True)
 class SemiprimitiveGauss:
-    """g(chi) = sign * p^{r/2} for a semi-primitive character of order N."""
+    """g(chi) = sign * p^{f/2} for a semi-primitive character of order N over F_{p^f}."""
 
     p: int
     N: int
-    r: int
+    f: int
     t: int
     s: int
     sign: int
 
     def value(self) -> int:
-        return self.sign * self.p ** (self.r // 2)
+        return self.sign * self.p ** (self.f // 2)
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def semiprimitive_gauss(p: int, N: int, f: int) -> SemiprimitiveGauss:
     Requires the least t with p^t = -1 mod N to exist and f = 2ts.  Then
     p^{-f/2} g(chi) is (-1)^{s-1} for p = 2 and (-1)^{s-1 + (p^t+1)s/N}
     for odd p.  The order 2t of p modulo N divides f, so it comes from the
-    factors of f, and N is never factored.  The result stores f as r.
+    factors of f, and N is never factored.
     """
     p, N, f = operator.index(p), operator.index(N), operator.index(f)
     if not is_prime(p):

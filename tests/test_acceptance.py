@@ -91,19 +91,19 @@ def test_criterion_2_order_75_classes():
     with criterion(2, "q=2^20 N=75 classes {0,3,6,9,12}", budget=60.0):
         rep = verify_named_example("ikuta75")
         assert rep.ok
-        assert rep.q == 2**20 and rep.k == 69905
+        assert rep.example.q == 2**20 and rep.example.k == 69905
         assert rep.spectrum == (273, -239)
         cert = rep.certificate
         assert (cert.lam, cert.mu) == (4692, 4658)
         assert (cert.mult_r, cert.mult_s) == (489335, 559240)
-        assert cert.mult_r + cert.mult_s == rep.q - 1
+        assert cert.mult_r + cert.mult_s == rep.example.q - 1
 
 
 def test_criterion_3_order_49_classes():
     with criterion(3, "q=2^21 N=49 classes {0..6}", budget=120.0):
         rep = verify_named_example("ikuta49")
         assert rep.ok
-        assert rep.q == 2**21 and rep.k == 299593
+        assert rep.example.q == 2**21 and rep.example.k == 299593
         assert rep.spectrum == (585, -439)
         cert = rep.certificate
         assert (cert.lam, cert.mu) == (42924, 42778)
@@ -113,7 +113,7 @@ def test_criterion_4_odd_characteristic():
     with criterion(4, "q=3^12 N=35 class {0}", budget=60.0):
         rep = verify_named_example("ex53_m1")
         assert rep.ok
-        assert rep.q == 3**12 and rep.k == 15184
+        assert rep.example.q == 3**12 and rep.example.k == 15184
         assert rep.spectrum == (118, -125)
         cert = rep.certificate
         assert (cert.lam, cert.mu) == (427, 434)
@@ -247,13 +247,13 @@ def test_criterion_9_twelve_family_collapse():
             assert len(ps.integer_values()) == 2, (p, p1)
             cert = ps.certificate()
             assert cert is not None and not cert.degenerate, (p, p1)
-            assert set(ps.integer_values()) == {check.r2, check.s2}, (p, p1)
+            assert set(ps.integer_values()) == {check.r_m2, check.s_m2}, (p, p1)
             # eigenvalue formulas: r = ((p1-b)/2 p^h0 - 1)/p1 and
             # s = (-(p1+b)/2 p^h0 - 1)/p1 with h0 = (f - h)/2 at m = 2
             f2 = p1 * (p1 - 1) // 2
             h0 = (f2 - check.h) // 2
-            assert check.r2 == ((p1 - check.b) // 2 * p**h0 - 1) // p1
-            assert check.s2 == (-(p1 + check.b) // 2 * p**h0 - 1) // p1
+            assert check.r_m2 == ((p1 - check.b) // 2 * p**h0 - 1) // p1
+            assert check.s_m2 == (-(p1 + check.b) // 2 * p**h0 - 1) // p1
             assert ps.N == p1 * p1 and ps.v == p**f2
         for p, p1, p2 in TRIPLE_FAMILIES:
             check = triple_family_check(p, p1, p2)
@@ -262,13 +262,13 @@ def test_criterion_9_twelve_family_collapse():
             assert len(ps.integer_values()) == 2, (p, p1, p2)
             cert = ps.certificate()
             assert cert is not None and not cert.degenerate, (p, p1, p2)
-            assert set(ps.integer_values()) == {check.r2, check.s2}, (p, p1, p2)
+            assert set(ps.integer_values()) == {check.r_m2, check.s_m2}, (p, p1, p2)
             # r = ((b + p1 p2)/2 p^h0 - 1)/(p1 p2), s with the minus sign
             n2 = p1 * p1 * p2
             f2 = (p1 - 1) * p1 * (p2 - 1) // 2
             h0 = (f2 - check.h) // 2
-            assert check.r2 == ((check.b + p1 * p2) // 2 * p**h0 - 1) // (p1 * p2)
-            assert check.s2 == ((check.b - p1 * p2) // 2 * p**h0 - 1) // (p1 * p2)
+            assert check.r_m2 == ((check.b + p1 * p2) // 2 * p**h0 - 1) // (p1 * p2)
+            assert check.s_m2 == ((check.b - p1 * p2) // 2 * p**h0 - 1) // (p1 * p2)
             assert ps.N == n2 and ps.v == p**f2
         # exact integer arithmetic: each candidate is an exact quotient, a Python int
         sample = predicted_spectrum_two_primes(3, 17, 19, 2)

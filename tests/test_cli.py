@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cyclosrg import family_search
 from cyclosrg.cli import _HALVING_BITS, _digits, main
-from cyclosrg.family_search import _check_scan_bounds
+from cyclosrg.family_search import NamedExample, _check_scan_bounds
 from cyclosrg.gauss_theory import (
     INDEX2_EXPONENT_CAP,
     class_number,
@@ -47,6 +48,23 @@ def test_verify_example_json_certificate(capsys):
     assert cert["degenerate_flag"] is False
     assert cert["inputs"] == {"D": [0, 5, 10], "N": 45, "m": 2, "p": 2, "p1": 3, "p2": 5}
     assert data["ok"] and data["oracle_ran"] and data["oracle_agrees"]
+
+
+def test_verify_example_with_an_irrational_spectrum(capsys, monkeypatch):
+    # C_0 of order 4 over F_25 is not strongly regular: its four connection sums are
+    # irrational, so they print as reprs, and no certificate matches (5, 19)'s prediction
+    probe = NamedExample("irrational_probe", 5, 19, None, 1, 2, 4, (0,))
+    monkeypatch.setitem(family_search.NAMED_EXAMPLES, probe.name, probe)
+    code, out, err = run(capsys, "verify-example", "--name", probe.name, "--format", "json")
+    data = json.loads(out)
+    assert code == 1 and err == ""
+    assert len(data["spectrum"]) == 4
+    assert all(s.startswith("CyclotomicInteger(p=5, coeffs=") for s in data["spectrum"])
+    assert data["certificate"] is None and data["oracle_agrees"] is True
+    assert (data["q"], data["k"], data["ok"], data["predicted_matches"]) == (25, 6, False, False)
+    code, out, _ = run(capsys, "verify-example", "--name", probe.name)
+    assert code == 1
+    assert "no certificate: spectrum is not two-valued" in out.splitlines()
 
 
 def test_verify_srg_robustness_single_class(capsys):

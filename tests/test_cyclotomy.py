@@ -285,15 +285,30 @@ def test_coefficients_outside_int64_are_refused():
 
 
 def test_equality_needs_one_order_and_a_value():
-    # values of two orders differ even where their coefficients agree; a float or a
+    # rational values of two orders are equal when their ints are; irrational values
+    # of two orders differ even where their coefficients agree; a float or a
     # string is no value, so == falls back to identity through NotImplemented
     for n in (0, 1, 5):
-        assert CyclotomicInteger.from_int(3, n) != CyclotomicInteger.from_int(5, n)
+        assert CyclotomicInteger.from_int(3, n) == CyclotomicInteger.from_int(5, n)
+        assert CyclotomicInteger.from_int(3, n) != CyclotomicInteger.from_int(5, n + 1)
     assert CyclotomicInteger(3, (0, 1)) != CyclotomicInteger(5, (0, 1, 0, 0))
     z = CyclotomicInteger.from_int(3, 1)
     for other in (1.5, 1.0, "1"):
         assert z.__eq__(other) is NotImplemented
         assert (z == other) is False and (other == z) is False and z != other
+
+
+def test_equality_is_transitive_across_orders():
+    # a rational value equals its int and every rational value with it, of any order,
+    # so a set keeps one of them whatever the order they come in
+    three, five = CyclotomicInteger.from_int(3, 1), CyclotomicInteger.from_int(5, 1)
+    assert three == five and three == 1 and five == 1
+    assert len({1, three, five}) == len({three, five, 1}) == 1
+    # an irrational value equals only a value with its row, so of its own order
+    x3, x5 = CyclotomicInteger(3, (1, 1)), CyclotomicInteger(5, (1, 1, 0, 0))
+    assert x3 == CyclotomicInteger(3, (1, 1)) and x3 != x5 and x5 != x3
+    assert x3 != three and three != x3 and x3 != 1
+    assert len({x3, x5, three, five}) == 3
 
 
 def test_rational_values_hash_like_their_int():

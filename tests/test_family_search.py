@@ -1,5 +1,6 @@
 """Tests for the bounded scans and the named example pipeline."""
 
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from cyclosrg.family_search import (
     REASON_NOT_COPRIME,
     REASON_NOT_INDEX2,
     REASON_P1_TOO_SMALL,
+    FamilyCheck,
     SearchReport,
     pair_family_check,
     scan_pairs,
@@ -73,7 +75,7 @@ def test_scan_pairs_table():
     }
     for check in report.hits:
         assert check.ok and check.reasons == ()
-        assert check.r2 is not None and check.s2 is not None
+        assert check.r_m2 is not None and check.s_m2 is not None
     for _, reasons in report.rejections:
         assert reasons != ()
 
@@ -170,10 +172,24 @@ def test_scan_report_serialization():
     assert all("reasons" in r for r in parsed["rejections"])
 
 
+def test_family_check_json_keys_are_its_fields():
+    # the JSON of a check is its fields plus ok, p2 only where set, each under its field's name
+    names = {field.name for field in dataclasses.fields(FamilyCheck)}
+    for check in (pair_family_check(2, 7), triple_family_check(2, 3, 5), pair_family_check(2, 11)):
+        data = check.to_json_dict()
+        assert set(data) == names - ({"p2"} if check.p2 is None else set()) | {"ok"}, check
+        assert data["ok"] is check.ok
+        assert all(data[name] == getattr(check, name) for name in data if name != "ok")
+    hit = pair_family_check(2, 7).to_json_dict()
+    assert (hit["f_m1"], hit["r_m1"], hit["s_m1"], hit["r_m2"], hit["s_m2"]) == (3, 1, -1, 585, -439)
+    assert triple_family_check(2, 3, 5).to_json_dict()["p2"] == 5
+    assert pair_family_check(2, 11).to_json_dict()["r_m2"] is None
+
+
 def test_verify_delange_end_to_end():
     rep = verify_named_example("delange")
     assert rep.ok
-    assert rep.q == 4096 and rep.k == 273
+    assert rep.example.q == 4096 and rep.example.k == 273
     assert rep.spectrum == (17, -15)
     assert rep.certificate.parameters() == (4096, 273, 20, 18)
     assert (rep.certificate.mult_r, rep.certificate.mult_s) == (1911, 2184)
@@ -197,7 +213,7 @@ def test_verify_degenerate_example():
 def test_verify_odd_characteristic_example():
     rep = verify_named_example("ex53_m1")
     assert rep.ok
-    assert rep.q == 3**12 and rep.k == 15184
+    assert rep.example.q == 3**12 and rep.example.k == 15184
     assert rep.spectrum == (118, -125)
     assert rep.certificate.parameters() == (531441, 15184, 427, 434)
     assert not rep.oracle_ran  # field above the q <= 4096 oracle policy

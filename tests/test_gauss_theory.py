@@ -264,7 +264,7 @@ def test_semiprimitive_errors():
 
 
 def test_semiprimitive_order_from_r_matches_mult_order():
-    # the order 2t is read off the factors of r; N is never factored
+    # the order 2t is read off the factors of f; N is never factored
     for p in primes_upto(50):
         for N in range(3, 200):
             if math.gcd(p, N) != 1:
@@ -282,7 +282,7 @@ def test_semiprimitive_order_from_r_matches_mult_order():
 
 
 def test_semiprimitive_size_cap():
-    # p^{r/2} of 2^16 bits is admitted and quick; one step further is rejected
+    # p^{f/2} of 2^16 bits is admitted and quick; one step further is rejected
     start = time.perf_counter()
     g = semiprimitive_gauss(3, 4, 2 * (SEMIPRIMITIVE_BITS_CAP // 2))
     assert abs(g.value()) == 3 ** (SEMIPRIMITIVE_BITS_CAP // 2)
@@ -394,21 +394,46 @@ def test_index2_magnitude_identity():
         assert (g.b**2 + g.delta * g.c_abs**2) * g.p ** (2 * g.h0) == 4 * g.p**g.f
 
 
+def _stickelberger_digit_counts(p, N, f, j):
+    """How often each of 0..p-1 occurs among the f base-p digits of a = j (p^f - 1)/N.
+
+    The base-p expansion of j/N has period f, so digit k of a is
+    floor(p (j p^k mod N) / N): f small-int steps, with no p^f formed.
+    """
+    counts, r = [0] * p, j
+    for _ in range(f):
+        counts[p * r // N] += 1
+        r = r * p % N
+    return counts
+
+
 def _stickelberger_valuations(p, N, f):
     """{s(a)/(p-1) : a = j (p^f - 1)/N, j = 1 and N - 1}, s the base-p digit sum.
 
     By Stickelberger, s(a)/(p-1) is the valuation of the Gauss sum of omega^-a at a
-    prime above p.  The base-p expansion of j/N has period f, so digit k of a is
-    floor(p (j p^k mod N) / N): f small-int steps, with no p^f formed.
+    prime above p.
     """
     vals = set()
     for j in (1, N - 1):
-        s, r = 0, j
-        for _ in range(f):
-            s += p * r // N
-            r = r * p % N
-        vals.add(Fraction(s, p - 1))
+        counts = _stickelberger_digit_counts(p, N, f, j)
+        vals.add(Fraction(sum(d * n for d, n in enumerate(counts)), p - 1))
     return vals
+
+
+def _stickelberger_b(p, N, f, h0):
+    """b mod p for odd p from Stickelberger's congruence; None if no j in {1, N - 1} has valuation h0.
+
+    For the j with digit sum (p - 1) h0, g = (-1)^h0 (b + c sqrt(-delta))/2 pi^((p-1) h0)
+    with pi^(p-1) = -p, and g / pi^((p-1) h0) = -1 / prod a_i! modulo the prime above p
+    that does not divide the unit (b + c sqrt(-delta))/2.  There the conjugate, of norm
+    p^h, is 0, so the unit is b and b = -(-1)^h0 / prod a_i! mod p.
+    """
+    for j in (1, N - 1):
+        counts = _stickelberger_digit_counts(p, N, f, j)
+        if sum(d * n for d, n in enumerate(counts)) == (p - 1) * h0:
+            prod = math.prod(pow(math.factorial(d), n, p) for d, n in enumerate(counts)) % p
+            return -((-1) ** h0) * pow(prod, -1, p) % p
+    return None
 
 
 def test_stickelberger_valuations_are_h0_and_h0_plus_h_on_the_scan_hits():
@@ -430,6 +455,35 @@ def test_stickelberger_valuations_are_h0_and_h0_plus_h_on_the_scan_hits():
                     assert vals != {h0, h0 + h}, (hit, m)
                 cases.append(g.f)
     assert (len(cases), max(cases)) == (24, 124251)
+
+
+def _index2_sums(shapes):
+    """(g, N) for every index-2 Gauss sum over the given (p, p1, p2, m), p2 None for N = p1^m."""
+    sums = []
+    for p, p1, p2, m in shapes:
+        try:
+            if p2 is None:
+                sums.append((index2_gauss_prime_power(p, p1, m), p1**m))
+            else:
+                sums.append((index2_gauss_two_primes(p, p1, p2, m), p1**m * p2))
+        except ValueError:
+            continue  # not an index-2 shape
+    return sums
+
+
+def test_sign_of_b_matches_stickelberger_for_odd_p():
+    # b = -(-1)^h0 / prod a_i! mod p pins the sign of b with no field, for the j of valuation h0;
+    # a flipped b, or an h0 off by one, fails it (b is prime to p, so b != -b mod p)
+    hits = [hit for report in (scan_pairs(50, 500), scan_triples(5, 400)) for hit in report.hits if hit.p > 2]
+    scan_sums = _index2_sums((hit.p, hit.p1, hit.p2, m) for hit in hits for m in (1, 2))
+    odd = primes_upto(50)[1:]
+    prime_power = _index2_sums((p, p1, None, m) for p in odd for p1 in primes_upto(120) for m in (1, 2))
+    two_primes = _index2_sums(
+        (p, p1, p2, m) for p in odd if p < 30 for p1 in primes_upto(60) for p2 in primes_upto(60) for m in (1, 2)
+    )
+    assert (len(scan_sums), len(prime_power), len(two_primes)) == (18, 142, 414)
+    for g, N in scan_sums + prime_power + two_primes:
+        assert _stickelberger_b(g.p, N, g.f, g.h0) == g.b % g.p, (g, N)
 
 
 # ---------------------------------------------------------------------------

@@ -853,9 +853,9 @@ def test_pair_family_rejections():
 
 def test_pair_family_witness_values():
     check = pair_family_check(2, 7)
-    assert (check.h, check.b, check.f1) == (1, -1, 3)
-    assert (check.r1, check.s1) == (1, -1)
-    assert (check.r2, check.s2) == (585, -439)
+    assert (check.h, check.b, check.f_m1) == (1, -1, 3)
+    assert (check.r_m1, check.s_m1) == (1, -1)
+    assert (check.r_m2, check.s_m2) == (585, -439)
     assert check.r_formula == "(4*2^h0-1)/7"
 
 
@@ -877,11 +877,11 @@ def test_triple_family_rejections():
 
 def test_triple_family_witness_values():
     check = triple_family_check(2, 3, 5)
-    assert (check.h, check.b, check.f1) == (2, 1, 4)
-    assert (check.r1, check.s1) == (1, -1)
-    assert (check.r2, check.s2) == (17, -15)
+    assert (check.h, check.b, check.f_m1) == (2, 1, 4)
+    assert (check.r_m1, check.s_m1) == (1, -1)
+    assert (check.r_m2, check.s_m2) == (17, -15)
     check = triple_family_check(3, 5, 7)
-    assert (check.r1, check.s1) == (118, -125)
+    assert (check.r_m1, check.s_m1) == (118, -125)
 
 
 def test_triple_family_refuses_odd_class_number(monkeypatch):

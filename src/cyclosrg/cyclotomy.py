@@ -53,8 +53,8 @@ _TALLY_CELL_CAP = 1 << 25
 # connection_sums adds |D| slices of N x p cells; the worst case this admits,
 # 128 classes at q = 2^22 with N = q - 1, took 1.6-1.8 s on a 2-vCPU VM
 _CONNECTION_CELL_CAP = 1 << 30
-# a doubling step of the power tables costs about as much as filling this
-# many more elements (BENCH_19.json, "step_cost")
+# a doubling step of the power tables costs about as much as filling 0.3-1.7 x 10^4 more elements
+# (BENCH_32.json "step_cost"); the route rule keeps this constant at the top of that range
 _STEP_COST = 1 << 14
 
 

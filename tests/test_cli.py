@@ -428,6 +428,15 @@ _GOLDEN = [
     ("scan-triples --p-max 3 --n-max 40 --format json", 0, "c4233540bda900b97b1d3c65d643ab656af56960f84cf9d71e16c053327f9f0b"),
     ("scan-triples --p-max 3 --n-max 40 --format tsv", 0, "964b57103013bf1556f9e5ce7b5d392b46b2cbfce648f10d0136bbf5db8e1b34"),
     ("scan-triples --p-max 3 --n-max 40 --format pretty", 0, "8860328db95183091a53df3b11a7edbfb717de368d7dcc670a274cbb6a6ef728"),
+    # the corners of the scan caps, where p or the partner primes reach 10^4
+    ("scan-pairs --p-max 100 --p1-max 10000 --format json", 0, "c5579fcdcfded688cfee80a05ebe2d19598f5036f8cd9d348c94c290e6f8f0a2"),
+    ("scan-pairs --p-max 100 --p1-max 10000 --format tsv", 0, "0a3bb5f612631d973cb05d73b54d65281b939eeedd72efaa8bc914a78d2c2f34"),
+    ("scan-pairs --p-max 10000 --p1-max 100 --format json", 0, "0fd4affc45b33d74a9178438afac7dc0093179b5ce0dc155b613a97feb255d0d"),
+    ("scan-pairs --p-max 10000 --p1-max 100 --format tsv", 0, "d81a8666ccc5e4c7a204b0e1418de85378858fd1aada1677e4bf61e3e9a1c61d"),
+    ("scan-triples --p-max 100 --n-max 10000 --format json", 0, "1c6b8fadbcc9e8c493b1ef2c80d43ea473656c816f3fad849a99d5fda6eb120a"),
+    ("scan-triples --p-max 100 --n-max 10000 --format tsv", 0, "30f803dbb6ca568caaf571481904caa23ee931feb33e70ff683f7193f5508a0d"),
+    ("scan-triples --p-max 10000 --n-max 100 --format json", 0, "000f5d9c960e1fa5321061d88c629d3a9516a92fd8fb0340f24b0d1a12d54967"),
+    ("scan-triples --p-max 10000 --n-max 100 --format tsv", 0, "964b57103013bf1556f9e5ce7b5d392b46b2cbfce648f10d0136bbf5db8e1b34"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Tests for the bounded scans and the named example pipeline."""
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -24,7 +25,8 @@ from cyclosrg.family_search import (
     triple_family_check,
     verify_named_example,
 )
-from cyclosrg.ntheory import euler_phi, is_prime
+from cyclosrg.gauss_theory import mult_order
+from cyclosrg.ntheory import PRIME_TEST_BOUND, euler_phi, is_prime, primes_upto
 from cyclosrg.srg_engine import difference_count_oracle, srg_from_spectrum
 PAIR_HITS = ((2, 7), (3, 107), (5, 19), (5, 499), (17, 67), (41, 163))
 TRIPLE_HITS = ((2, 3, 5), (2, 5, 3), (3, 5, 7), (3, 7, 5), (3, 17, 19), (3, 19, 17))
@@ -160,6 +162,52 @@ def _reference_scan(kind, p_max, other_max):
 def test_scans_match_reference_loop(p_max, p1_max, n_max):
     assert scan_pairs(p_max, p1_max) == _reference_scan("pairs", p_max, p1_max)
     assert scan_triples(p_max, n_max) == _reference_scan("triples", p_max, n_max)
+
+
+def test_lift_decides_the_pair_3_11():
+    # 3 has half order 5 modulo 11 and 1 + 11 = 4 * 3^h with h(-11) = 1, but 3^5 = 243 = 1 mod 121
+    assert (mult_order(3, 11), pow(3, 5, 121)) == (5, 1)
+    assert pair_family_check(3, 11).reasons == (REASON_NOT_INDEX2,)
+    assert scan_pairs(3, 11).rejection_reasons(3, 11) == (REASON_NOT_INDEX2,)
+
+
+def test_lift_decides_the_index2_test_of_7_5_11():
+    # 7 has full orders 4 and 10 modulo 5 and 11, with gcd(4, 10) = 2, but 7^4 = 2401 = 1 mod 25;
+    # only p1 lifts, so (7, 11, 5), where 7^10 = 23 mod 121, has index 2
+    assert (mult_order(7, 5), mult_order(7, 11), pow(7, 4, 25), pow(7, 10, 121)) == (4, 10, 1, 23)
+    assert triple_family_check(7, 5, 11).reasons == (REASON_NOT_INDEX2, REASON_DIOPHANTINE_FAIL)
+    assert triple_family_check(7, 11, 5).reasons == (REASON_DIOPHANTINE_FAIL,)
+    report = scan_triples(7, 55)
+    assert report.rejection_reasons(7, 5, 11) == (REASON_NOT_INDEX2, REASON_DIOPHANTINE_FAIL)
+    assert report.rejection_reasons(7, 11, 5) == (REASON_DIOPHANTINE_FAIL,)
+
+
+_PRIMES = primes_upto(3000)
+_NEAR_BOUND = PRIME_TEST_BOUND - 168  # the largest prime below the bound, 3317044064679887385961813
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=4),
+    st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=4, unique=True),
+)
+@example([1009], [7, 11, 29])  # p > ell^2
+@example([3, 5, 7], [2, 3])
+@example([2], [1093, 3511])  # the base-2 Wieferich primes: 2^(ell - 1) = 1 mod ell^2
+@example([3], [11])  # 3^5 = 1 mod 121
+@example([_NEAR_BOUND, 2], [7, 13])
+@example([2, 3, _NEAR_BOUND], [999983])  # ell^4 > 2^63: dtype object
+def test_order_grids_match_mult_order(ps, ells):
+    # one grid over every (p, ell): ell | p, ord_ell(p) = n, and p^n = 1 mod ell^2, for n = ell - 1 and (ell - 1) / 2
+    for halve in (0, 1):
+        divides, exact, lift = family_search._order_grids(ps, ells, halve)
+        assert divides.shape == exact.shape == lift.shape == (len(ps), len(ells))
+        for (i, p), (j, ell) in itertools.product(enumerate(ps), enumerate(ells)):
+            n = (ell - 1) >> halve
+            assert divides[i, j] == (p == ell), (p, ell)
+            if p != ell:
+                assert exact[i, j] == (mult_order(p, ell) == n), (p, ell, halve)
+                assert lift[i, j] == (n % mult_order(p, ell * ell) == 0), (p, ell, halve)
 
 
 def test_scan_report_serialization():

@@ -6,8 +6,9 @@ The parent's src/ and demos/ come from git archive, the working tree's from
 its tracked and new (not ignored) files, each copied to a temporary
 directory.  Each tree then runs one list of argv in one interpreter of its
 own: the _GOLDEN argv of tests/test_cli.py, every argv recorded in
-perfbench/reference.json, the demos, and periods and verify-srg of class 0
-for every field order q <= 2^10 and every N | q - 1, in all three formats.
+perfbench/reference.json, the demos, the scans at the four corners of the
+scan caps, and periods and verify-srg of class 0 for every field order
+q <= 2^10 and every N | q - 1, each of the last three in all three formats.
 The exit code, stdout and stderr of every argv are compared in full (by
 sha256); each argv that differs is printed with what differed, and the
 script exits 1 if any differ, else 0.  It is not part of the test suite:
@@ -34,6 +35,13 @@ ROOT = Path(__file__).resolve().parents[1]
 TREE_DIRS = ("src", "demos")
 FORMATS = ("json", "tsv", "pretty")
 SWEEP_Q_MAX = 1 << 10
+# the largest scan grids inside the caps: p up to 10^4, or partner primes up to 10^4
+CAP_CORNER_SCANS = (
+    "scan-pairs --p-max 100 --p1-max 10000",
+    "scan-pairs --p-max 10000 --p1-max 100",
+    "scan-triples --p-max 100 --n-max 10000",
+    "scan-triples --p-max 10000 --n-max 100",
+)
 
 
 def _golden_argvs() -> list[str]:
@@ -66,7 +74,8 @@ def argv_list() -> list[str]:
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     recorded = [argv for block in ("named_examples", "closed_forms") for argv in reference[block]["outputs"]]
     demos = [f"demos/{path.name}" for path in sorted((ROOT / "demos").glob("*.py"))]
-    return list(dict.fromkeys(_golden_argvs() + recorded + demos + _sweep_argvs()))
+    corners = [f"{scan} --format {fmt}" for scan in CAP_CORNER_SCANS for fmt in FORMATS]
+    return list(dict.fromkeys(_golden_argvs() + recorded + demos + corners + _sweep_argvs()))
 
 
 def _sha(text: str) -> str:

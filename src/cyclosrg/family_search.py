@@ -19,7 +19,6 @@ import math
 import operator
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from itertools import chain, compress, repeat, takewhile
 from typing import NamedTuple
 
@@ -179,12 +178,6 @@ def _masks(ps: list[int], cols: np.ndarray, h: np.ndarray, shape: _Shape) -> np.
     return sum(test << _CODES.index(code) for code, test in tests.items())
 
 
-@lru_cache(maxsize=1 << 16)
-def _mask(p: int, ells: tuple[int, ...], h: int, shape: _Shape) -> int:
-    """The reason mask of one candidate, from _masks on length-1 grids; memoized, since a call costs about 0.1 ms."""
-    return int(_masks([p], np.array(ells).reshape(-1, 1), np.array([h]), shape)[0, 0])
-
-
 def _check(p: int, ells: tuple[int, ...], shape: _Shape) -> FamilyCheck:
     """The family check of one candidate (p, *ells) of the given shape."""
     p, ells = operator.index(p), tuple(map(operator.index, ells))
@@ -193,7 +186,7 @@ def _check(p: int, ells: tuple[int, ...], shape: _Shape) -> FamilyCheck:
     if reasons:
         return FamilyCheck(p, p1, p2, reasons)
     h = class_number(math.prod(ells))  # refuses a product beyond CLASS_NUMBER_CAP before any order is found
-    reasons = _REASONS[_mask(p, ells, h, shape)]
+    reasons = _REASONS[_masks([p], np.array(ells).reshape(-1, 1), np.array([h]), shape)[0, 0]]
     return FamilyCheck(p, p1, p2, reasons, h=h) if reasons else shape.hit(p, ells, h)
 
 

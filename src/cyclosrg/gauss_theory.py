@@ -89,6 +89,10 @@ class SemiprimitiveGauss:
     s: int
     sign: int
 
+    def __post_init__(self):
+        if self.f != 2 * self.t * self.s:
+            raise ValueError(f"f = {self.f} is not 2ts = 2 * {self.t} * {self.s}")
+
     def value(self) -> int:
         return self.sign * self.p ** (self.f // 2)
 
@@ -114,6 +118,8 @@ class QuadraticGaussValue:
             raise ValueError("quadratic certificate fails b^2 + delta c^2 = 4 p^h")
         if self.b % self.p == 0 or self.c_abs % self.p == 0:
             raise ValueError("b and c must be prime to p")
+        if 2 * self.h0 != self.f - self.h:
+            raise ValueError(f"h0 = {self.h0} is not (f - h) / 2 = ({self.f} - {self.h}) / 2")
 
     def conjugate_values(self) -> tuple[complex, complex]:
         """The two numeric candidates (c > 0 and c < 0); ValueError when they are not finite floats."""
@@ -400,7 +406,7 @@ def _index2_gauss(p: int, delta: int, fac: dict[int, int], kind: Index2Kind, ref
     f = case.order
     # f and h(-p1) are odd for N = p1^m; for N = p1^m p2, 8 | (p1 - 1)(p2 - 1) gives 4 | f, and h is even
     if (f - h) % 2:
-        raise ValueError("f - h is odd, no integral h0 exists")
+        raise AssertionError(f"f - h = {f} - {h} is odd, against genus theory")
     h0 = (f - h) // 2
     ell, want = pin(h, h0)
     pinned = [(sb * b, c) for b, c in _solve_quadratic_form(p, delta, h) for sb in (1, -1) if (sb * b - want) % ell == 0]

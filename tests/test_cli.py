@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import sys
 import time
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclosrg import family_search
+from cyclosrg import family_search, finite_field, gauss_theory, srg_engine
 from cyclosrg.cli import _HALVING_BITS, _digits, main
 from cyclosrg.family_search import NamedExample, _check_scan_bounds
 from cyclosrg.gauss_theory import (
@@ -506,6 +507,44 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cyclosrg.srg_engine, "_capped_terms", lambda gauss: (*capped(gauss)[:2], capped(gauss)[2] + 1))
     code, out, err = run(capsys, "verify-example", "--name", "ex51_m1")
     assert code == 3 and out == "" and err.startswith("internal error:") and err.count("\n") == 1
+
+
+# guards that no input reaches: (module, name, stand-in, library call, argv, message)
+_UNREACHED_GUARDS = {
+    "irreducible": (
+        finite_field, "_is_irreducible", lambda mod_low, p: False,
+        lambda: finite_field.build_field(2, 3), "build-field --p 2 --f 3", "no irreducible polynomial found",
+    ),
+    "generator": (
+        finite_field, "_power_of", lambda rows, e, p: (1,),
+        lambda: finite_field.build_field(5, 1), "build-field --p 5 --f 1", "no generator found",
+    ),
+    "index2_components": (
+        gauss_theory, "reduce_order", lambda a, n, phi, factors: 4,
+        lambda: gauss_theory.classify_index2(2, 15), "gauss-index2 --p 2 --p1 3 --p2 5 --m 1",
+        "index 2 component orders do not fit any known case",
+    ),
+    "genus_parity": (
+        gauss_theory, "class_number", lambda d: 2,
+        lambda: gauss_theory.index2_gauss_prime_power(2, 7, 1), "gauss-index2 --p 2 --p1 7 --m 1",
+        "f - h = 3 - 2 is odd, against genus theory",
+    ),
+    "oracle_certificate": (
+        srg_engine, "_certificate", lambda v, k, e1, e2, source: None,
+        lambda: family_search.verify_named_example("ex51_m1"), "verify-example --name ex51_m1",
+        "constant counts lambda = 0, mu = 0 fit no strongly regular spectrum",
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_UNREACHED_GUARDS))
+def test_unreached_guards_raise_and_exit_3(capsys, monkeypatch, guard):
+    # each guard, tripped by a broken helper, raises AssertionError, which the CLI reports as an internal error
+    module, name, stand_in, call, argv, message = _UNREACHED_GUARDS[guard]
+    monkeypatch.setattr(module, name, stand_in)
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        call()
+    assert run(capsys, *argv.split()) == (3, "", f"internal error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +26,7 @@ from cyclosrg.family_search import (
     triple_family_check,
     verify_named_example,
 )
-from cyclosrg.gauss_theory import mult_order
+from cyclosrg.gauss_theory import class_number, mult_order
 from cyclosrg.ntheory import PRIME_TEST_BOUND, euler_phi, is_prime, primes_upto
 from cyclosrg.srg_engine import difference_count_oracle, srg_from_spectrum
 PAIR_HITS = ((2, 7), (3, 107), (5, 19), (5, 499), (17, 67), (41, 163))
@@ -139,18 +140,42 @@ def test_scan_monotone_in_bounds():
     assert t_small <= t_large
 
 
+# the reason codes in the order a check lists them
+_CODE_ORDER = (REASON_NOT_COPRIME, REASON_P1_TOO_SMALL, REASON_MOD4_PATTERN, REASON_NOT_INDEX2, REASON_DIOPHANTINE_FAIL)
+
+
+def _reference_reasons(p, ells):
+    # the failing criteria of one candidate, each decided on plain integers as the check docstrings state them
+    if p in ells:
+        return (REASON_NOT_COPRIME,)
+    d = math.prod(ells)
+    if len(ells) == 1:
+        (p1,) = ells
+        n = (p1 - 1) // 2
+        half = mult_order(p, p1) == n and pow(p, n, p1**2) != 1
+        failing = {REASON_P1_TOO_SMALL: p1 <= 3, REASON_MOD4_PATTERN: p1 % 4 != 3, REASON_NOT_INDEX2: not half}
+    else:
+        p1, p2 = ells
+        full = mult_order(p, p1) == p1 - 1 and pow(p, p1 - 1, p1**2) != 1 and mult_order(p, p2) == p2 - 1
+        index2 = full and 2 * mult_order(p, d) == (p1 - 1) * (p2 - 1)
+        failing = {REASON_MOD4_PATTERN: {p1 % 4, p2 % 4} != {1, 3}, REASON_NOT_INDEX2: not index2}
+    failing[REASON_DIOPHANTINE_FAIL] = 1 + d != 4 * p ** class_number(d)
+    return tuple(code for code in _CODE_ORDER if failing.get(code))
+
+
 def _reference_scan(kind, p_max, other_max):
-    # every candidate of the box through the public checks, with no tables
+    # every candidate of the box, its reasons from _reference_reasons; a hit's witness from the public check
     ps = [p for p in range(2, p_max + 1) if is_prime(p)]
     if kind == "pairs":
         cands = [(p, p1) for p in ps for p1 in range(2, other_max + 1) if is_prime(p1)]
-        checks = [pair_family_check(*cand) for cand in cands]
+        check = pair_family_check
     else:
         partners = [q for q in range(2, other_max // 2 + 1) if is_prime(q)]
         cands = [(p, p1, p2) for p in ps for p1 in partners for p2 in partners if p1 != p2 and p1 * p2 <= other_max]
-        checks = [triple_family_check(*cand) for cand in cands]
-    hits = tuple(c for c in checks if c.ok)
-    rejections = tuple((cand, c.reasons) for cand, c in zip(cands, checks) if not c.ok)
+        check = triple_family_check
+    reasons = [_reference_reasons(cand[0], cand[1:]) for cand in cands]
+    hits = tuple(check(*cand) for cand, why in zip(cands, reasons) if not why)
+    rejections = tuple((cand, why) for cand, why in zip(cands, reasons) if why)
     return SearchReport(kind, (p_max, other_max), hits, rejections)
 
 
@@ -197,6 +222,11 @@ _NEAR_BOUND = PRIME_TEST_BOUND - 168  # the largest prime below the bound, 33170
 @example([3], [11])  # 3^5 = 1 mod 121
 @example([_NEAR_BOUND, 2], [7, 13])
 @example([2, 3, _NEAR_BOUND], [999983])  # ell^4 > 2^63: dtype object
+# either side of the int64 switch: 55103 is the largest prime with ell^4 < 2^63, and 55109 to 65521 need dtype object
+@example([2, 3, 5, 7, _NEAR_BOUND], [55103])
+@example([2, 3, 5, 7, _NEAR_BOUND], [55109])
+@example([2, 3, 5, 7, _NEAR_BOUND], [65519])
+@example([2, 3, 5, 7, _NEAR_BOUND], [65521])
 def test_order_grids_match_mult_order(ps, ells):
     # one grid over every (p, ell): ell | p, ord_ell(p) = n, and p^n = 1 mod ell^2, for n = ell - 1 and (ell - 1) / 2
     for halve in (0, 1):

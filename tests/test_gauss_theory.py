@@ -16,6 +16,7 @@ from cyclosrg.gauss_theory import (
     Index2Case,
     Index2Kind,
     QuadraticGaussValue,
+    SemiprimitiveGauss,
     _solve_quadratic_form,
     _sqrt_mod_prime_power,
     class_number,
@@ -261,6 +262,10 @@ def test_semiprimitive_errors():
         semiprimitive_gauss(2, 5, 6)
     with pytest.raises(ValueError, match="prime"):
         semiprimitive_gauss(4, 5, 4)
+    # a record must keep f = 2ts: t = 1 and f = 2 force s = 1
+    assert semiprimitive_gauss(2, 3, 2) == SemiprimitiveGauss(p=2, N=3, f=2, t=1, s=1, sign=1)
+    with pytest.raises(ValueError, match="is not 2ts"):
+        SemiprimitiveGauss(p=2, N=3, f=2, t=1, s=7, sign=1)
 
 
 def test_semiprimitive_order_from_r_matches_mult_order():
@@ -339,6 +344,9 @@ def test_quadratic_value_checks_its_certificate():
     for p, delta, h, b in [(2, 7, 3, 2), (3, 11, 3, 3)]:
         with pytest.raises(ValueError, match="prime to p"):
             QuadraticGaussValue(p=p, delta=delta, f=h, h=h, h0=0, b=b, c_abs=b)
+    # the form holds and p divides neither b nor c, but h0 must be (f - h) / 2 = 1
+    with pytest.raises(ValueError, match=r"h0 = 5 is not \(f - h\) / 2"):
+        QuadraticGaussValue(p=2, delta=7, f=3, h=1, h0=5, b=1, c_abs=1)
 
 
 def test_conjugate_values_refuse_the_float_overflow():

@@ -118,9 +118,10 @@ def _archive(rev: str, dest: Path) -> None:
         tar.extractall(dest)
 
 
-def _copy_working_tree(dest: Path) -> None:
+def copy_working_tree(dest: Path, paths=TREE_DIRS) -> None:
+    """Copy the tracked and new (not ignored) files under paths of the working tree to dest."""
     listed = subprocess.run(
-        ["git", "ls-files", "-co", "--exclude-standard", "-z", *TREE_DIRS], cwd=ROOT, capture_output=True, check=True,
+        ["git", "ls-files", "-co", "--exclude-standard", "-z", *paths], cwd=ROOT, capture_output=True, check=True,
     ).stdout.decode()
     for name in filter(None, listed.split("\0")):
         src = ROOT / name
@@ -142,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         (tmp / "argvs.json").write_text(json.dumps(argvs))
         trees = {"parent": tmp / "parent", "change": tmp / "change"}
         _archive(args.parent_rev, trees["parent"])
-        _copy_working_tree(trees["change"])
+        copy_working_tree(trees["change"])
         results = {}
         for name, tree in trees.items():
             out = tmp / f"{name}.json"
